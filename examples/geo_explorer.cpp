@@ -91,6 +91,8 @@ int main() {
                     store.disk()->stats().records_read));
   }
 
-  std::printf("\nquery metrics: %s\n", engine.metrics().ToString().c_str());
+  const QueryMetricsSnapshot queries =
+      QueryMetricsFromRegistry(store.metrics_registry()->Snapshot());
+  std::printf("\nquery metrics: %s\n", queries.ToString().c_str());
   return 0;
 }

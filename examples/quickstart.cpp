@@ -73,6 +73,8 @@ int main() {
 
   // 4. Memory accounting and hit-ratio metrics.
   std::printf("\n%s\n", store.tracker().ToString().c_str());
-  std::printf("query metrics: %s\n", engine.metrics().ToString().c_str());
+  const QueryMetricsSnapshot queries =
+      QueryMetricsFromRegistry(store.metrics_registry()->Snapshot());
+  std::printf("query metrics: %s\n", queries.ToString().c_str());
   return 0;
 }

@@ -6,7 +6,8 @@
 #                           net-smoke|ops-smoke|all]   (default: all)
 #
 # Jobs (each one is what CI runs as a separate job):
-#   tier1       - plain RelWithDebInfo build, full ctest suite
+#   tier1       - every perf-gate baseline is tracked by git, then the
+#                 plain RelWithDebInfo build and the full ctest suite
 #   tsan        - ThreadSanitizer build, full suite + stress harness, time-boxed
 #   asan        - ASan+UBSan build, full suite + stress harness, time-boxed
 #   stress      - just `ctest -L stress` under both sanitizers (quick race gate)
@@ -57,6 +58,9 @@ cd "$(dirname "$0")/.."
 JOBS="${KFLUSH_BUILD_JOBS:-$(nproc)}"
 # Time-box per sanitizer ctest invocation (TSan runs ~5-15x slower).
 STRESS_TIMEOUT="${KFLUSH_STRESS_TIMEOUT:-3600}"
+# The committed ratchet files the perf gates compare against (--baseline).
+INSERT_GATE_BASELINE=bench/baselines/BENCH_baseline.json
+GATE_BASELINES=("${INSERT_GATE_BASELINE}")
 FAILED=()
 
 note() { printf '\n== %s ==\n' "$*"; }
@@ -85,7 +89,23 @@ run_ctest() {  # run_ctest <builddir> <label: all|stress>
   return ${rc}
 }
 
+# A baseline that exists only in one working tree (or that .gitignore
+# swallows) leaves its gate dead on a fresh clone: fail on any that git
+# does not track.
+check_gate_baselines_tracked() {
+  local file rc=0
+  for file in "${GATE_BASELINES[@]}"; do
+    if ! git ls-files --error-unmatch "${file}" >/dev/null 2>&1; then
+      echo "perf-gate baseline ${file} is not tracked by git"
+      rc=1
+    fi
+  done
+  return ${rc}
+}
+
 job_tier1() {
+  note "tier1: perf-gate baselines are committed"
+  check_gate_baselines_tracked || return 1
   note "tier1: plain build + full suite"
   build default && run_ctest build all || return 1
   # Shard matrix: the full suite above ran the `shards` label (routing
@@ -167,7 +187,7 @@ job_bench_smoke() {
   KFLUSH_BENCH_SCALE="${scale}" KFLUSH_BENCH_OUT="${out}" \
       ./build/bench/bench_micro --breakdown || return 1
   python3 scripts/validate_bench_json.py \
-      --baseline bench/baselines/BENCH_baseline.json \
+      --baseline "${INSERT_GATE_BASELINE}" \
       "${out}"/BENCH_*.json || return 1
   KFLUSH_BENCH_SCALE="${scale}" KFLUSH_BENCH_OUT="${out}" \
       ./build/bench/bench_fig5_memory_behavior \

@@ -16,53 +16,41 @@ const char* QueryTypeName(QueryType type) {
   return "unknown";
 }
 
-void QueryMetrics::Record(QueryType type, bool memory_hit,
-                          uint64_t disk_term_reads, uint64_t latency_micros) {
-  const int i = static_cast<int>(type);
-  // Totals first, hit/miss last with release order — see the contract in
-  // the header. The release pairs with Snapshot's acquire loads so every
-  // observed hit/miss carries its query increment with it.
-  queries_.fetch_add(1, std::memory_order_relaxed);
-  queries_by_type_[i].fetch_add(1, std::memory_order_relaxed);
-  disk_term_reads_.fetch_add(disk_term_reads, std::memory_order_relaxed);
-  latency_micros_.Record(latency_micros);
-  if (memory_hit) {
-    hits_by_type_[i].fetch_add(1, std::memory_order_release);
-    memory_hits_.fetch_add(1, std::memory_order_release);
-  } else {
-    memory_misses_.fetch_add(1, std::memory_order_release);
-  }
+std::string QueryLatencySeries(QueryType type, bool memory_hit) {
+  static constexpr const char* kTypeSlug[3] = {"single", "and", "or"};
+  return std::string("query.latency_micros.") +
+         kTypeSlug[static_cast<int>(type)] + (memory_hit ? ".hit" : ".miss");
 }
 
-void QueryMetrics::Reset() {
-  // Callers must have quiesced recorders and snapshotters (documented in
-  // the header): Reset makes no ordering promises of its own.
-  memory_hits_.store(0, std::memory_order_relaxed);
-  memory_misses_.store(0, std::memory_order_relaxed);
-  for (auto& h : hits_by_type_) h.store(0, std::memory_order_relaxed);
-  latency_micros_.Reset();
-  queries_.store(0, std::memory_order_relaxed);
-  disk_term_reads_.store(0, std::memory_order_relaxed);
-  for (auto& q : queries_by_type_) q.store(0, std::memory_order_relaxed);
+namespace {
+
+uint64_t HistogramCount(const MetricsSnapshot& snap, const std::string& name) {
+  auto it = snap.histograms.find(name);
+  return it == snap.histograms.end() ? 0 : it->second.count();
 }
 
-QueryMetricsSnapshot QueryMetrics::Snapshot() const {
-  QueryMetricsSnapshot snap;
-  // Hit/miss counters first (acquire), totals after — the reader half of
-  // the anti-tearing contract.
-  snap.memory_hits = memory_hits_.load(std::memory_order_acquire);
-  snap.memory_misses = memory_misses_.load(std::memory_order_acquire);
-  for (int i = 0; i < 3; ++i) {
-    snap.hits_by_type[i] = hits_by_type_[i].load(std::memory_order_acquire);
+}  // namespace
+
+QueryMetricsSnapshot QueryMetricsFromRegistry(const MetricsSnapshot& now,
+                                              const MetricsSnapshot& before) {
+  QueryMetricsSnapshot m;
+  for (int t = 0; t < 3; ++t) {
+    const std::string hit = QueryLatencySeries(static_cast<QueryType>(t), true);
+    const std::string miss =
+        QueryLatencySeries(static_cast<QueryType>(t), false);
+    const uint64_t hits =
+        HistogramCount(now, hit) - HistogramCount(before, hit);
+    const uint64_t misses =
+        HistogramCount(now, miss) - HistogramCount(before, miss);
+    m.hits_by_type[t] = hits;
+    m.queries_by_type[t] = hits + misses;
+    m.memory_hits += hits;
+    m.memory_misses += misses;
   }
-  snap.latency_micros = latency_micros_.Snapshot();
-  snap.queries = queries_.load(std::memory_order_relaxed);
-  snap.disk_term_reads = disk_term_reads_.load(std::memory_order_relaxed);
-  for (int i = 0; i < 3; ++i) {
-    snap.queries_by_type[i] =
-        queries_by_type_[i].load(std::memory_order_relaxed);
-  }
-  return snap;
+  m.queries = m.memory_hits + m.memory_misses;
+  m.disk_term_reads = now.counter_or("query.disk_term_reads") -
+                      before.counter_or("query.disk_term_reads");
+  return m;
 }
 
 std::string QueryMetricsSnapshot::ToString() const {

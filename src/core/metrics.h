@@ -1,15 +1,13 @@
 // Query-side metrics: the memory hit ratio (the paper's headline measure)
-// broken down by query type, plus query latency.
+// broken down by query type, read off the registry's query.* series.
 
 #ifndef KFLUSH_CORE_METRICS_H_
 #define KFLUSH_CORE_METRICS_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
 #include "core/metrics_registry.h"
-#include "util/histogram.h"
 
 namespace kflush {
 
@@ -18,7 +16,11 @@ enum class QueryType : int { kSingle = 0, kAnd, kOr };
 
 const char* QueryTypeName(QueryType type);
 
-/// Point-in-time snapshot of the engine's counters.
+/// The registry histogram that times one query of `type` with the given
+/// outcome: query.latency_micros.<single|and|or>.<hit|miss>.
+std::string QueryLatencySeries(QueryType type, bool memory_hit);
+
+/// Hit-ratio view of the queries recorded in a registry snapshot.
 struct QueryMetricsSnapshot {
   uint64_t queries = 0;
   uint64_t memory_hits = 0;
@@ -26,7 +28,6 @@ struct QueryMetricsSnapshot {
   uint64_t disk_term_reads = 0;
   uint64_t queries_by_type[3] = {0, 0, 0};
   uint64_t hits_by_type[3] = {0, 0, 0};
-  Histogram latency_micros;
 
   /// memory_hits / queries, in [0, 1]; 0 when no queries ran.
   double HitRatio() const {
@@ -46,36 +47,13 @@ struct QueryMetricsSnapshot {
   std::string ToString() const;
 };
 
-/// Thread-safe counters updated by the query engine. Lock-free on the
-/// record path: per-field atomics plus a lock-striped latency histogram
-/// (registry instruments), so concurrent queries never serialize on one
-/// metrics mutex.
-class QueryMetrics {
- public:
-  void Record(QueryType type, bool memory_hit, uint64_t disk_term_reads,
-              uint64_t latency_micros);
-  /// Not linearizable against concurrent Record() or Snapshot(); quiesce
-  /// both first.
-  void Reset();
-  QueryMetricsSnapshot Snapshot() const;
-
- private:
-  // Anti-tearing contract between Record and Snapshot: Record bumps the
-  // query totals first (relaxed) and the hit/miss counters last (release);
-  // Snapshot loads hit/miss first (acquire) and the totals afterwards.
-  // Observing a hit increment therefore implies its query increment is
-  // visible, so a concurrent snapshot always satisfies
-  //   memory_hits + memory_misses <= queries   and
-  //   hits_by_type[i]            <= queries_by_type[i],
-  // never the torn opposite (a "hit ratio" above 100%).
-  std::atomic<uint64_t> queries_{0};
-  std::atomic<uint64_t> disk_term_reads_{0};
-  std::atomic<uint64_t> queries_by_type_[3] = {};
-  std::atomic<uint64_t> memory_hits_{0};
-  std::atomic<uint64_t> memory_misses_{0};
-  std::atomic<uint64_t> hits_by_type_[3] = {};
-  ConcurrentHistogram latency_micros_;
-};
+/// The queries recorded between two snapshots of one deployment's
+/// registry (aggregated across shards when sharded); pass only `now` for
+/// everything since start. Every count is summed from the six
+/// query.latency_micros.<type>.<hit|miss> histogram counts, so hits can
+/// never exceed queries, not even on a snapshot taken while queries run.
+QueryMetricsSnapshot QueryMetricsFromRegistry(
+    const MetricsSnapshot& now, const MetricsSnapshot& before = {});
 
 }  // namespace kflush
 

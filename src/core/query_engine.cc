@@ -18,15 +18,14 @@ constexpr size_t kNoLimit = std::numeric_limits<size_t>::max();
 constexpr uint32_t kMaxAreaOverfetch = 32;
 }  // namespace
 
-QueryEngine::QueryEngine(MicroblogStore* store) : store_(store) {
+QueryEngine::QueryEngine(MicroblogStore* store)
+    : QueryEngineBase(store), store_(store) {
   MetricsRegistry* registry = store_->metrics_registry();
-  static constexpr const char* kTypeSlug[3] = {"single", "and", "or"};
   static constexpr const char* kOutcome[2] = {"miss", "hit"};
   for (int t = 0; t < 3; ++t) {
     for (int o = 0; o < 2; ++o) {
       latency_by_type_[t][o] = registry->histogram(
-          std::string("query.latency_micros.") + kTypeSlug[t] + "." +
-          kOutcome[o]);
+          QueryLatencySeries(static_cast<QueryType>(t), o == 1));
     }
   }
   for (int o = 0; o < 2; ++o) {
@@ -209,19 +208,32 @@ Result<QueryResult> QueryEngine::ExecuteAnd(const std::vector<TermId>& terms,
   return result;
 }
 
-Result<QueryResult> QueryEngine::Execute(const TopKQuery& query) {
+Result<QueryResult> QueryEngineBase::Execute(const TopKQuery& query) {
   if (query.terms.empty()) {
     return Status::InvalidArgument("query has no terms");
   }
-  const uint32_t k = query.k != 0 ? query.k : store_->k();
+  // Resolved once here, so every sub-query of a fan-out sees the same k
+  // even if SetK churns mid-flight.
+  const uint32_t k = query.k != 0 ? query.k : terms_->k();
   if (k == 0) return Status::InvalidArgument("k must be positive");
+  Stopwatch watch;
+  const uint64_t disk_reads_before = DiskTermQueries();
+  Result<QueryResult> result = Evaluate(query, k);
+  if (result.ok()) {
+    RecorderFor(query.terms[0])
+        ->Record(query.type, result->memory_hit,
+                 DiskTermQueries() - disk_reads_before, watch.ElapsedMicros());
+  }
+  return result;
+}
 
+Result<QueryResult> QueryEngine::Evaluate(const TopKQuery& query,
+                                          uint32_t k) {
   static const char* const kTypeName[] = {"single", "and", "or"};
   TraceSpan span("query", kTypeName[static_cast<int>(query.type)],
                  {TraceArg::Uint("terms", query.terms.size()),
                   TraceArg::Uint("k", k)});
-  Stopwatch watch;
-  const auto disk_reads_before = store_->disk()->stats().term_queries;
+  const uint64_t disk_reads_before = DiskTermQueries();
 
   Result<QueryResult> result = [&]() -> Result<QueryResult> {
     switch (query.type) {
@@ -239,23 +251,24 @@ Result<QueryResult> QueryEngine::Execute(const TopKQuery& query) {
   }();
 
   if (result.ok()) {
-    const auto disk_reads =
-        store_->disk()->stats().term_queries - disk_reads_before;
-    const uint64_t micros = watch.ElapsedMicros();
-    metrics_.Record(query.type, result->memory_hit, disk_reads, micros);
-    const int t = static_cast<int>(query.type);
-    latency_by_type_[t][result->memory_hit ? 1 : 0]->Record(micros);
-    queries_counter_->Increment();
-    (result->memory_hit ? hits_counter_ : misses_counter_)->Increment();
-    disk_term_reads_counter_->Add(disk_reads);
     span.End({TraceArg::Str("outcome", result->memory_hit ? "hit" : "miss"),
               TraceArg::Uint("from_memory", result->from_memory),
               TraceArg::Uint("from_disk", result->from_disk),
-              TraceArg::Uint("disk_term_reads", disk_reads)});
+              TraceArg::Uint("disk_term_reads",
+                             DiskTermQueries() - disk_reads_before)});
   } else {
     span.End({TraceArg::Str("outcome", "error")});
   }
   return result;
+}
+
+void QueryEngine::Record(QueryType type, bool memory_hit,
+                         uint64_t disk_term_reads, uint64_t latency_micros) {
+  latency_by_type_[static_cast<int>(type)][memory_hit ? 1 : 0]->Record(
+      latency_micros);
+  queries_counter_->Increment();
+  (memory_hit ? hits_counter_ : misses_counter_)->Increment();
+  disk_term_reads_counter_->Add(disk_term_reads);
 }
 
 Result<QueryResult> QueryEngine::SearchKeywords(
@@ -269,27 +282,35 @@ Result<QueryResult> QueryEngine::SearchKeywords(
   return Execute(query);
 }
 
-Result<QueryResult> QueryEngine::SearchLocation(double lat, double lon,
-                                                uint32_t k) {
+void QueryEngineBase::RecordSurface(TermId term, bool spatial,
+                                    bool memory_hit, uint64_t micros) {
+  QueryEngine* recorder = RecorderFor(term);
+  (spatial ? recorder->latency_spatial_
+           : recorder->latency_user_)[memory_hit ? 1 : 0]
+      ->Record(micros);
+}
+
+Result<QueryResult> QueryEngineBase::SearchLocation(double lat, double lon,
+                                                    uint32_t k) {
   TopKQuery query;
   query.type = QueryType::kSingle;
   query.k = k;
-  query.terms.push_back(store_->TermForLocation(lat, lon));
+  query.terms.push_back(terms_->TermForLocation(lat, lon));
   Stopwatch watch;
   Result<QueryResult> result = Execute(query);
   if (result.ok()) {
-    latency_spatial_[result->memory_hit ? 1 : 0]->Record(
-        watch.ElapsedMicros());
+    RecordSurface(query.terms[0], /*spatial=*/true, result->memory_hit,
+                  watch.ElapsedMicros());
   }
   return result;
 }
 
-Result<QueryResult> QueryEngine::SearchArea(double min_lat, double min_lon,
-                                            double max_lat, double max_lon,
-                                            uint32_t k, size_t max_tiles,
-                                            bool force_disk) {
+Result<QueryResult> QueryEngineBase::SearchArea(double min_lat, double min_lon,
+                                                double max_lat, double max_lon,
+                                                uint32_t k, size_t max_tiles,
+                                                bool force_disk) {
   const auto* spatial =
-      dynamic_cast<const SpatialAttribute*>(store_->extractor());
+      dynamic_cast<const SpatialAttribute*>(terms_->extractor());
   if (spatial == nullptr) {
     return Status::InvalidArgument("store is not spatially indexed");
   }
@@ -307,12 +328,13 @@ Result<QueryResult> QueryEngine::SearchArea(double min_lat, double min_lon,
   query.terms = std::move(tiles);
   query.type = query.terms.size() == 1 ? QueryType::kSingle : QueryType::kOr;
   query.force_disk = force_disk;
-  const uint32_t want = k != 0 ? k : store_->k();
+  const uint32_t want = k != 0 ? k : terms_->k();
   // Records in boundary tiles that fall outside the box are dropped after
-  // top-k materialization, which can under-fill the answer even when k
-  // matching records exist. Over-fetch and widen geometrically until the
-  // box's top-k is filled or the tiles are exhausted (the underlying query
-  // returning fewer than it was asked for means there is nothing left).
+  // top-k materialization (after the cross-shard merge, when sharded),
+  // which can under-fill the answer even when k matching records exist.
+  // Over-fetch and widen geometrically until the box's top-k is filled or
+  // the tiles are exhausted (the underlying query returning fewer than it
+  // was asked for means there is nothing left).
   uint32_t fetch = want;
   Stopwatch watch;
   while (true) {
@@ -331,23 +353,24 @@ Result<QueryResult> QueryEngine::SearchArea(double min_lat, double min_lon,
         static_cast<uint64_t>(fetch) >=
             static_cast<uint64_t>(want) * kMaxAreaOverfetch) {
       if (records.size() > want) records.resize(want);
-      latency_spatial_[result->memory_hit ? 1 : 0]->Record(
-          watch.ElapsedMicros());
+      RecordSurface(query.terms[0], /*spatial=*/true, result->memory_hit,
+                    watch.ElapsedMicros());
       return result;
     }
     fetch *= 2;
   }
 }
 
-Result<QueryResult> QueryEngine::SearchUser(UserId user, uint32_t k) {
+Result<QueryResult> QueryEngineBase::SearchUser(UserId user, uint32_t k) {
   TopKQuery query;
   query.type = QueryType::kSingle;
   query.k = k;
-  query.terms.push_back(store_->TermForUser(user));
+  query.terms.push_back(terms_->TermForUser(user));
   Stopwatch watch;
   Result<QueryResult> result = Execute(query);
   if (result.ok()) {
-    latency_user_[result->memory_hit ? 1 : 0]->Record(watch.ElapsedMicros());
+    RecordSurface(query.terms[0], /*spatial=*/false, result->memory_hit,
+                  watch.ElapsedMicros());
   }
   return result;
 }

@@ -48,20 +48,22 @@ struct QueryResult {
   size_t from_disk = 0;
 };
 
-/// Evaluates queries against one MicroblogStore. Thread-safe; many engine
-/// instances may share a store (each keeps its own metrics), or one engine
-/// may serve many threads.
-class QueryEngine {
+class QueryEngine;
+
+/// What both engines share: Execute, and the spatial and user searches
+/// written once over it. Execute records exactly one query — type, memory
+/// hit, disk term reads, latency — in the query.* series of one store's
+/// registry: the store that owns the query's first term (the only store,
+/// unsharded). SearchLocation/SearchArea/SearchUser also time the whole
+/// call into that registry's query.latency_micros.<spatial|user>.*.
+class QueryEngineBase {
  public:
-  explicit QueryEngine(MicroblogStore* store);
+  virtual ~QueryEngineBase() = default;
+  QueryEngineBase(const QueryEngineBase&) = delete;
+  QueryEngineBase& operator=(const QueryEngineBase&) = delete;
 
   /// Evaluates `query`, materializing result records.
   Result<QueryResult> Execute(const TopKQuery& query);
-
-  /// Convenience: keyword search from strings (keyword attribute only).
-  /// Unknown keywords become absent terms (guaranteed miss path).
-  Result<QueryResult> SearchKeywords(const std::vector<std::string>& keywords,
-                                     QueryType type, uint32_t k = 0);
 
   /// Convenience: "find top-k posted at this location" (spatial attribute).
   Result<QueryResult> SearchLocation(double lat, double lon, uint32_t k = 0);
@@ -78,14 +80,62 @@ class QueryEngine {
   /// Convenience: user-timeline search (user attribute).
   Result<QueryResult> SearchUser(UserId user, uint32_t k = 0);
 
-  QueryMetricsSnapshot metrics() const { return metrics_.Snapshot(); }
-  void ResetMetrics() { metrics_.Reset(); }
+ protected:
+  /// `terms` is any store of the deployment: shards share the attribute,
+  /// its term space, and k, which is all the searches read from it.
+  explicit QueryEngineBase(const MicroblogStore* terms) : terms_(terms) {}
+
+  /// Execute without recording; `query` has terms and `k` is resolved.
+  virtual Result<QueryResult> Evaluate(const TopKQuery& query,
+                                       uint32_t k) = 0;
+  /// Disk term queries issued so far by the stores this engine reads.
+  virtual uint64_t DiskTermQueries() const = 0;
+  /// The per-store engine whose registry records a query led by `term`.
+  virtual QueryEngine* RecorderFor(TermId term) = 0;
 
  private:
+  /// Records one end-to-end surface sample in RecorderFor(`term`)'s
+  /// spatial or user histogram pair.
+  void RecordSurface(TermId term, bool spatial, bool memory_hit,
+                     uint64_t micros);
+
+  const MicroblogStore* terms_;
+};
+
+/// Evaluates queries against one MicroblogStore. Thread-safe; many engine
+/// instances may share a store (all record into its registry), or one
+/// engine may serve many threads.
+class QueryEngine : public QueryEngineBase {
+ public:
+  explicit QueryEngine(MicroblogStore* store);
+
+  MicroblogStore* store() const { return store_; }
+
+  /// Convenience: keyword search from strings (keyword attribute only).
+  /// Unknown keywords become absent terms (guaranteed miss path).
+  Result<QueryResult> SearchKeywords(const std::vector<std::string>& keywords,
+                                     QueryType type, uint32_t k = 0);
+
+ private:
+  // Execute records through Record; the fan-out engine evaluates its
+  // sub-queries here unrecorded.
+  friend class QueryEngineBase;
+  friend class ShardedQueryEngine;
+
+  Result<QueryResult> Evaluate(const TopKQuery& query, uint32_t k) override;
+  uint64_t DiskTermQueries() const override {
+    return store_->disk()->stats().term_queries;
+  }
+  QueryEngine* RecorderFor(TermId) override { return this; }
+
   struct Scored {
     double score;
     MicroblogId id;
   };
+
+  /// Records one query in this store's query.* series.
+  void Record(QueryType type, bool memory_hit, uint64_t disk_term_reads,
+              uint64_t latency_micros);
 
   Result<QueryResult> ExecuteSingle(TermId term, uint32_t k, bool force_disk);
   Result<QueryResult> ExecuteOr(const std::vector<TermId>& terms, uint32_t k,
@@ -103,14 +153,13 @@ class QueryEngine {
                      QueryResult* result);
 
   MicroblogStore* store_;
-  QueryMetrics metrics_;
 
   // Registry instruments, resolved once in the constructor (get-or-create;
   // pointers stay valid for the store's lifetime). Latency histograms are
   // split by query type and memory-hit outcome; the spatial/user surface
   // histograms time the whole convenience call (SearchArea's over-fetch
-  // loop runs Execute several times, each contributing to the per-type
-  // histograms, while the surface histogram sees one end-to-end sample).
+  // loop runs Execute several times, each recorded as a query, while the
+  // surface histogram sees one end-to-end sample).
   ConcurrentHistogram* latency_by_type_[3][2];
   ConcurrentHistogram* latency_spatial_[2];
   ConcurrentHistogram* latency_user_[2];

@@ -7,56 +7,40 @@
 
 #include "core/topk_merge.h"
 #include "core/trace.h"
-#include "index/spatial_grid.h"
 
 namespace kflush {
 
 namespace {
 constexpr size_t kNoLimit = std::numeric_limits<size_t>::max();
-/// Same cap as QueryEngine::SearchArea (the loops must behave alike for
-/// the oracle's shards=1 baseline to be meaningful).
-constexpr uint32_t kMaxAreaOverfetch = 32;
 }  // namespace
 
-ShardedQueryEngine::ShardedQueryEngine(std::vector<ShardQueryTarget> shards)
-    : shards_(std::move(shards)), router_(shards_.size()) {}
+ShardedQueryEngine::ShardedQueryEngine(std::vector<QueryEngine*> shards)
+    : QueryEngineBase(shards[0]->store()),
+      shards_(std::move(shards)),
+      router_(shards_.size()) {}
 
 uint64_t ShardedQueryEngine::DiskTermQueries() const {
   uint64_t total = 0;
-  for (const ShardQueryTarget& shard : shards_) {
-    total += shard.store->disk()->stats().term_queries;
+  for (QueryEngine* shard : shards_) {
+    total += shard->store()->disk()->stats().term_queries;
   }
   return total;
 }
 
-Result<QueryResult> ShardedQueryEngine::Execute(const TopKQuery& query) {
-  if (query.terms.empty()) {
-    return Status::InvalidArgument("query has no terms");
-  }
-  // Resolve k once at the fan-out layer so every sub-query of this query
-  // sees the same k even if SetK churns mid-flight.
-  const uint32_t k = query.k != 0 ? query.k : shards_[0].store->k();
-  if (k == 0) return Status::InvalidArgument("k must be positive");
-
+Result<QueryResult> ShardedQueryEngine::Evaluate(const TopKQuery& query,
+                                                 uint32_t k) {
   static const char* const kTypeName[] = {"single", "and", "or"};
   TraceSpan span("query", "fanout",
                  {TraceArg::Str("type", kTypeName[static_cast<int>(query.type)]),
                   TraceArg::Uint("terms", query.terms.size()),
                   TraceArg::Uint("k", k),
                   TraceArg::Uint("shards", shards_.size())});
-  Stopwatch watch;
-  const uint64_t disk_reads_before = DiskTermQueries();
 
   Result<QueryResult> result = [&]() -> Result<QueryResult> {
     switch (query.type) {
       case QueryType::kSingle: {
-        if (query.terms.size() != 1) {
-          return Status::InvalidArgument("single query needs exactly 1 term");
-        }
-        TopKQuery sub = query;
-        sub.k = k;
-        const size_t owner = router_.ShardForTerm(query.terms[0]);
-        return shards_[owner].engine->Execute(sub);
+        QueryEngine* owner = shards_[router_.ShardForTerm(query.terms[0])];
+        return owner->Evaluate(query, k);
       }
       case QueryType::kOr:
         return ExecuteOrFanout(query.terms, k, query.force_disk);
@@ -69,9 +53,6 @@ Result<QueryResult> ShardedQueryEngine::Execute(const TopKQuery& query) {
   }();
 
   if (result.ok()) {
-    const uint64_t disk_reads = DiskTermQueries() - disk_reads_before;
-    metrics_.Record(query.type, result->memory_hit, disk_reads,
-                    watch.ElapsedMicros());
     span.End({TraceArg::Str("outcome", result->memory_hit ? "hit" : "miss"),
               TraceArg::Uint("results", result->results.size())});
   } else {
@@ -96,9 +77,8 @@ Result<QueryResult> ShardedQueryEngine::ExecuteOrFanout(
     TopKQuery sub;
     sub.terms = std::move(groups[order[0]]);
     sub.type = QueryType::kOr;
-    sub.k = k;
     sub.force_disk = force_disk;
-    return shards_[order[0]].engine->Execute(sub);
+    return shards_[order[0]]->Evaluate(sub, k);
   }
 
   QueryResult merged;
@@ -109,9 +89,8 @@ Result<QueryResult> ShardedQueryEngine::ExecuteOrFanout(
     TopKQuery sub;
     sub.terms = std::move(groups[owner]);
     sub.type = QueryType::kOr;
-    sub.k = k;
     sub.force_disk = force_disk;
-    Result<QueryResult> r = shards_[owner].engine->Execute(sub);
+    Result<QueryResult> r = shards_[owner]->Evaluate(sub, k);
     if (!r.ok()) return r.status();
     // The OR hit rule (every term holds >= k in memory) distributes over
     // the partition: the union's top-k is memory-guaranteed iff every
@@ -122,7 +101,7 @@ Result<QueryResult> ShardedQueryEngine::ExecuteOrFanout(
     lists.push_back(std::move(r->results));
   }
 
-  const RankingFunction* ranking = shards_[0].store->ranking();
+  const RankingFunction* ranking = shards_[0]->store()->ranking();
   merged.results = BoundedTopKMerge(
       lists, k,
       [&](const Microblog& a, const Microblog& b) {
@@ -137,7 +116,7 @@ Result<QueryResult> ShardedQueryEngine::ExecuteOrFanout(
 
 Result<QueryResult> ShardedQueryEngine::ExecuteAndExact(
     const std::vector<TermId>& terms, uint32_t k) {
-  const RankingFunction* ranking = shards_[0].store->ranking();
+  const RankingFunction* ranking = shards_[0]->store()->ranking();
   const size_t n = terms.size();
   // Each term's complete posting set, memory ∪ disk, from its owner. The
   // memory ∪ disk union is complete by the system invariant ("answers are
@@ -146,7 +125,7 @@ Result<QueryResult> ShardedQueryEngine::ExecuteAndExact(
   std::vector<std::unordered_map<MicroblogId, double>> full(n);
   std::vector<std::unordered_set<MicroblogId>> in_memory(n);
   for (size_t i = 0; i < n; ++i) {
-    MicroblogStore* store = shards_[router_.ShardForTerm(terms[i])].store;
+    MicroblogStore* store = shards_[router_.ShardForTerm(terms[i])]->store();
     std::vector<MicroblogId> ids;
     store->policy()->QueryTerm(terms[i], kNoLimit, &ids,
                                /*record_access=*/true);
@@ -201,7 +180,7 @@ Result<QueryResult> ShardedQueryEngine::ExecuteAndExact(
     if (result.results.size() >= k) break;
     bool materialized = false;
     for (size_t owner : owners) {
-      auto blog = shards_[owner].store->raw_store()->Get(c.id);
+      auto blog = shards_[owner]->store()->raw_store()->Get(c.id);
       if (blog.has_value()) {
         result.results.push_back(std::move(*blog));
         touched[owner].push_back(c.id);
@@ -213,7 +192,7 @@ Result<QueryResult> ShardedQueryEngine::ExecuteAndExact(
     if (materialized) continue;
     for (size_t owner : owners) {
       Microblog from_disk;
-      Status s = shards_[owner].store->disk()->GetRecord(c.id, &from_disk);
+      Status s = shards_[owner]->store()->disk()->GetRecord(c.id, &from_disk);
       if (s.ok()) {
         result.results.push_back(std::move(from_disk));
         ++result.from_disk;
@@ -227,78 +206,10 @@ Result<QueryResult> ShardedQueryEngine::ExecuteAndExact(
   }
   for (size_t owner = 0; owner < shards_.size(); ++owner) {
     if (!touched[owner].empty()) {
-      shards_[owner].store->policy()->OnResultAccess(touched[owner]);
+      shards_[owner]->store()->policy()->OnResultAccess(touched[owner]);
     }
   }
   return result;
-}
-
-Result<QueryResult> ShardedQueryEngine::SearchLocation(double lat, double lon,
-                                                       uint32_t k) {
-  TopKQuery query;
-  query.type = QueryType::kSingle;
-  query.k = k;
-  query.terms.push_back(shards_[0].store->TermForLocation(lat, lon));
-  return Execute(query);
-}
-
-Result<QueryResult> ShardedQueryEngine::SearchArea(double min_lat,
-                                                   double min_lon,
-                                                   double max_lat,
-                                                   double max_lon, uint32_t k,
-                                                   size_t max_tiles,
-                                                   bool force_disk) {
-  const auto* spatial =
-      dynamic_cast<const SpatialAttribute*>(shards_[0].store->extractor());
-  if (spatial == nullptr) {
-    return Status::InvalidArgument("store is not spatially indexed");
-  }
-  BoundingBox box{min_lat, min_lon, max_lat, max_lon};
-  std::vector<TermId> tiles =
-      TilesOverlapping(spatial->mapper(), box, max_tiles + 1);
-  if (tiles.empty()) {
-    return Status::InvalidArgument("empty or inverted bounding box");
-  }
-  if (tiles.size() > max_tiles) {
-    return Status::InvalidArgument("bounding box spans too many tiles");
-  }
-  TopKQuery query;
-  query.terms = std::move(tiles);
-  query.type = query.terms.size() == 1 ? QueryType::kSingle : QueryType::kOr;
-  query.force_disk = force_disk;
-  const uint32_t want = k != 0 ? k : shards_[0].store->k();
-  // Same over-fetch loop as QueryEngine::SearchArea, but each inner
-  // Execute fans out; boundary-tile outsiders are filtered after the
-  // cross-shard merge.
-  uint32_t fetch = want;
-  while (true) {
-    query.k = fetch;
-    Result<QueryResult> result = Execute(query);
-    if (!result.ok()) return result;
-    const size_t fetched = result->results.size();
-    auto& records = result->results;
-    records.erase(std::remove_if(records.begin(), records.end(),
-                                 [&](const Microblog& blog) {
-                                   return !AreaContains(box, blog);
-                                 }),
-                  records.end());
-    const bool exhausted = fetched < fetch;
-    if (records.size() >= want || exhausted ||
-        static_cast<uint64_t>(fetch) >=
-            static_cast<uint64_t>(want) * kMaxAreaOverfetch) {
-      if (records.size() > want) records.resize(want);
-      return result;
-    }
-    fetch *= 2;
-  }
-}
-
-Result<QueryResult> ShardedQueryEngine::SearchUser(UserId user, uint32_t k) {
-  TopKQuery query;
-  query.type = QueryType::kSingle;
-  query.k = k;
-  query.terms.push_back(shards_[0].store->TermForUser(user));
-  return Execute(query);
 }
 
 }  // namespace kflush

@@ -15,6 +15,10 @@
 //            of the shard count. The full-list intersection is exact for
 //            every N, including N=1, so sharding stays invisible.
 //
+// Sub-queries are evaluated unrecorded; each top-level query is recorded
+// once, in the registry of the shard that owns its first term, so the
+// aggregated query.* series count queries, not fan-out legs.
+//
 // The differential oracle (tests/integration/shard_oracle_test.cc) holds
 // this layer to byte-identical answers against shards=1.
 
@@ -28,38 +32,28 @@
 
 namespace kflush {
 
-/// One shard as seen by the fan-out layer: its store (raw records, disk
-/// tier, policy index) and a per-shard engine for delegated sub-queries.
-struct ShardQueryTarget {
-  MicroblogStore* store = nullptr;
-  QueryEngine* engine = nullptr;
-};
-
 /// Fans queries out to owning shards and merges per-shard top-k answers.
-/// Thread-safe, like the per-shard engines it delegates to. Keeps its own
-/// QueryMetrics over top-level queries (sub-queries additionally land in
-/// each shard's registry, so aggregated snapshots still carry the
-/// query.* taxonomy).
-class ShardedQueryEngine {
+/// Each shard is seen through its engine: delegated sub-queries, and the
+/// store (raw records, disk tier, policy index) the engine evaluates on.
+/// Thread-safe, like the per-shard engines it delegates to. The spatial
+/// and user searches (QueryEngineBase) run above the fan-out, so
+/// SearchArea's boundary filter sees the merged answer.
+class ShardedQueryEngine : public QueryEngineBase {
  public:
-  explicit ShardedQueryEngine(std::vector<ShardQueryTarget> shards);
-
-  Result<QueryResult> Execute(const TopKQuery& query);
-
-  /// Spatial / user surfaces, mirroring QueryEngine's semantics (the
-  /// SearchArea over-fetch loop runs here, above the fan-out).
-  Result<QueryResult> SearchLocation(double lat, double lon, uint32_t k = 0);
-  Result<QueryResult> SearchArea(double min_lat, double min_lon,
-                                 double max_lat, double max_lon,
-                                 uint32_t k = 0, size_t max_tiles = 256,
-                                 bool force_disk = false);
-  Result<QueryResult> SearchUser(UserId user, uint32_t k = 0);
+  explicit ShardedQueryEngine(std::vector<QueryEngine*> shards);
 
   size_t num_shards() const { return shards_.size(); }
   const ShardRouter& router() const { return router_; }
 
-  QueryMetricsSnapshot metrics() const { return metrics_.Snapshot(); }
-  void ResetMetrics() { metrics_.Reset(); }
+ protected:
+  Result<QueryResult> Evaluate(const TopKQuery& query, uint32_t k) override;
+  /// Sum over the shards (the delta around a query is the fan-out's
+  /// disk-read cost; exact when queries don't race, advisory under
+  /// concurrency).
+  uint64_t DiskTermQueries() const override;
+  QueryEngine* RecorderFor(TermId term) override {
+    return shards_[router_.ShardForTerm(term)];
+  }
 
  private:
   struct Scored {
@@ -72,14 +66,8 @@ class ShardedQueryEngine {
   Result<QueryResult> ExecuteAndExact(const std::vector<TermId>& terms,
                                       uint32_t k);
 
-  /// Sum of the involved shards' disk term-query counters (the delta
-  /// around a query is the fan-out's disk-read cost; exact when queries
-  /// don't race, advisory under concurrency).
-  uint64_t DiskTermQueries() const;
-
-  std::vector<ShardQueryTarget> shards_;
+  std::vector<QueryEngine*> shards_;
   ShardRouter router_;
-  QueryMetrics metrics_;
 };
 
 }  // namespace kflush

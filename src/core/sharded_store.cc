@@ -1,45 +1,25 @@
 #include "core/sharded_store.h"
 
-#include <algorithm>
-
 #include "core/trace.h"
 #include "util/logging.h"
 
 namespace kflush {
 
 ShardedMicroblogStore::ShardedMicroblogStore(ShardedStoreOptions options)
-    : options_(options),
-      router_(options.num_shards == 0 ? 1 : options.num_shards) {
-  clock_ = options_.store.clock != nullptr ? options_.store.clock
-                                           : WallClock::Default();
-  extractor_ = MakeAttribute(options_.store.attribute);
-  const size_t n = router_.num_shards();
+    : options_(options), routing_(options.store, options.num_shards) {
+  const size_t n = routing_.router().num_shards();
   shards_.reserve(n);
   engines_.reserve(n);
-  std::vector<ShardQueryTarget> targets;
+  std::vector<QueryEngine*> targets;
   targets.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    StoreOptions so = options_.store;
-    so.memory_budget_bytes = options_.store.memory_budget_bytes / n;
-    so.shard_id = static_cast<int>(i);
-    if (so.durability.enabled) {
-      // One WAL + segment directory per shard.
-      so.durability.dir =
-          options_.store.durability.dir + "/shard-" + std::to_string(i);
-    }
-    shards_.push_back(std::make_unique<MicroblogStore>(so));
+    shards_.push_back(std::make_unique<MicroblogStore>(
+        ShardStoreOptions(options_.store, n, i)));
+    routing_.ResumePast(*shards_.back());
     engines_.push_back(std::make_unique<QueryEngine>(shards_.back().get()));
-    targets.push_back({shards_.back().get(), engines_.back().get()});
+    targets.push_back(engines_.back().get());
   }
   engine_ = std::make_unique<ShardedQueryEngine>(std::move(targets));
-  // Central id stamping resumes past every recovered id on any shard.
-  MicroblogId max_recovered = 0;
-  for (auto& shard : shards_) {
-    max_recovered = std::max(max_recovered, shard->recovered_max_id());
-  }
-  if (max_recovered > 0) {
-    next_id_.store(max_recovered + 1, std::memory_order_relaxed);
-  }
 }
 
 Status ShardedMicroblogStore::DurabilityStatus() const {
@@ -60,43 +40,21 @@ Status ShardedMicroblogStore::CommitDurableAll() {
 ShardedMicroblogStore::~ShardedMicroblogStore() = default;
 
 Status ShardedMicroblogStore::Insert(Microblog blog) {
-  // Central stamping, before routing: the copies a multi-term record
-  // leaves on several shards must be byte-identical.
-  if (blog.id == kInvalidMicroblogId) {
-    blog.id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (blog.created_at == 0) {
-    blog.created_at = clock_->NowMicros();
-  }
   submitted_.fetch_add(1, std::memory_order_relaxed);
-
-  // Per-thread scratch: the routing buffers never escape this frame, and
-  // resizing `owned` only on shard-count growth keeps the per-insert cost
-  // at clearing the few sublists actually touched last time.
-  static thread_local std::vector<TermId> terms;
-  static thread_local std::vector<std::vector<TermId>> owned;
-  static thread_local std::vector<size_t> owners;
-  extractor_->ExtractTerms(blog, &terms);
-  if (terms.empty()) {
+  // Per-thread scratch: the routing buffers never escape this frame.
+  static thread_local RoutedTerms routed;
+  if (!routing_.Route(&blog, &routed)) {
     skipped_no_terms_.fetch_add(1, std::memory_order_relaxed);
     return Status::OK();
   }
-
-  if (owned.size() < shards_.size()) owned.resize(shards_.size());
-  for (size_t owner : owners) owned[owner].clear();
-  owners.clear();
-  for (TermId term : terms) {
-    const size_t owner = router_.ShardForTerm(term);
-    if (owned[owner].empty()) owners.push_back(owner);
-    owned[owner].push_back(term);
-  }
+  const std::vector<size_t>& owners = routed.owners;
   routed_copies_.fetch_add(owners.size(), std::memory_order_relaxed);
   for (size_t i = 0; i + 1 < owners.size(); ++i) {
     KFLUSH_RETURN_IF_ERROR(
-        shards_[owners[i]]->InsertRouted(blog, owned[owners[i]]));
+        shards_[owners[i]]->InsertRouted(blog, routed.owned[owners[i]]));
   }
   const size_t last = owners.back();
-  return shards_[last]->InsertRouted(std::move(blog), owned[last]);
+  return shards_[last]->InsertRouted(std::move(blog), routed.owned[last]);
 }
 
 size_t ShardedMicroblogStore::FlushAllOnce() {

@@ -19,7 +19,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/shard_router.h"
+#include "core/shard_layout.h"
 #include "core/sharded_query_engine.h"
 #include "core/store.h"
 
@@ -28,9 +28,7 @@ namespace kflush {
 /// Sharded deployment configuration.
 struct ShardedStoreOptions {
   /// Per-shard template. memory_budget_bytes is the TOTAL deployment
-  /// budget; each shard receives budget / num_shards (remainder bytes are
-  /// dropped — the oracle pins budgets divisible by the shard counts it
-  /// compares). clock is shared across shards; shard_id is assigned here.
+  /// budget, split by ShardStoreOptions. clock is shared across shards.
   /// Leave disk null: each shard owns its disk tier, keeping a term's
   /// disk postings wholly on its owner.
   StoreOptions store;
@@ -78,7 +76,7 @@ class ShardedMicroblogStore {
   MicroblogStore* shard(size_t i) { return shards_[i].get(); }
   const MicroblogStore* shard(size_t i) const { return shards_[i].get(); }
   QueryEngine* shard_engine(size_t i) { return engines_[i].get(); }
-  const ShardRouter& router() const { return router_; }
+  const ShardRouter& router() const { return routing_.router(); }
   ShardedQueryEngine* engine() { return engine_.get(); }
   const ShardedStoreOptions& options() const { return options_; }
 
@@ -100,14 +98,11 @@ class ShardedMicroblogStore {
 
  private:
   ShardedStoreOptions options_;
-  Clock* clock_;
-  std::unique_ptr<AttributeExtractor> extractor_;
-  ShardRouter router_;
+  IngestRouter routing_;
   std::vector<std::unique_ptr<MicroblogStore>> shards_;
   std::vector<std::unique_ptr<QueryEngine>> engines_;
   std::unique_ptr<ShardedQueryEngine> engine_;
 
-  std::atomic<MicroblogId> next_id_{1};
   std::atomic<uint64_t> submitted_{0};
   std::atomic<uint64_t> routed_copies_{0};
   std::atomic<uint64_t> skipped_no_terms_{0};

@@ -8,41 +8,19 @@
 namespace kflush {
 
 ShardedMicroblogSystem::ShardedMicroblogSystem(ShardedSystemOptions options)
-    : options_(options),
-      router_(options.num_shards == 0 ? 1 : options.num_shards) {
-  clock_ = options_.system.store.clock != nullptr
-               ? options_.system.store.clock
-               : WallClock::Default();
-  extractor_ = MakeAttribute(options_.system.store.attribute);
-  const size_t n = router_.num_shards();
+    : options_(options), routing_(options.system.store, options.num_shards) {
+  const size_t n = routing_.router().num_shards();
   systems_.reserve(n);
-  std::vector<ShardQueryTarget> targets;
+  std::vector<QueryEngine*> targets;
   targets.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     SystemOptions so = options_.system;
-    so.store.memory_budget_bytes =
-        options_.system.store.memory_budget_bytes / n;
-    so.store.shard_id = static_cast<int>(i);
-    if (so.store.durability.enabled) {
-      // One WAL + segment directory per shard: flushes and group commits
-      // on different shards share no files (or fsync queues).
-      so.store.durability.dir = options_.system.store.durability.dir +
-                                "/shard-" + std::to_string(i);
-    }
+    so.store = ShardStoreOptions(options_.system.store, n, i);
     systems_.push_back(std::make_unique<MicroblogSystem>(so));
-    targets.push_back({systems_.back()->store(), systems_.back()->engine()});
+    routing_.ResumePast(*systems_.back()->store());
+    targets.push_back(systems_.back()->engine());
   }
   engine_ = std::make_unique<ShardedQueryEngine>(std::move(targets));
-  // Central id stamping must resume past every id recovery brought back
-  // on any shard, or restarted ingest would reuse live ids.
-  MicroblogId max_recovered = 0;
-  for (auto& system : systems_) {
-    max_recovered =
-        std::max(max_recovered, system->store()->recovered_max_id());
-  }
-  if (max_recovered > 0) {
-    next_id_.store(max_recovered + 1, std::memory_order_relaxed);
-  }
 }
 
 Status ShardedMicroblogSystem::DurabilityStatus() const {
@@ -95,41 +73,24 @@ ShardedMicroblogSystem::RoutedBatch ShardedMicroblogSystem::RouteBatch(
   routed.per_shard.resize(systems_.size());
   // Per-record scratch, hoisted out of the loop: the routing hot path
   // must not allocate O(num_shards) vectors per record.
-  std::vector<TermId> terms;
-  std::vector<std::vector<TermId>> owned(systems_.size());
-  std::vector<size_t> owners;
+  RoutedTerms terms;
   for (Microblog& blog : batch) {
-    if (blog.id == kInvalidMicroblogId) {
-      blog.id = next_id_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (blog.created_at == 0) {
-      blog.created_at = clock_->NowMicros();
-    }
-    terms.clear();
-    extractor_->ExtractTerms(blog, &terms);
-    if (terms.empty()) {
+    if (!routing_.Route(&blog, &terms)) {
       ++routed.skipped;
       continue;
     }
     ++routed.records;
-    // Owned term subsets per shard, for this record.
-    owners.clear();
-    for (TermId term : terms) {
-      const size_t owner = router_.ShardForTerm(term);
-      if (owned[owner].empty()) owners.push_back(owner);
-      owned[owner].push_back(term);
-    }
+    const std::vector<size_t>& owners = terms.owners;
     routed.copies += owners.size();
     for (size_t i = 0; i + 1 < owners.size(); ++i) {
       IngestBatch& dest = routed.per_shard[owners[i]];
       dest.blogs.push_back(blog);
-      dest.routed_terms.push_back(std::move(owned[owners[i]]));
-      owned[owners[i]].clear();  // moved-from; reset for the next record
+      dest.routed_terms.push_back(std::move(terms.owned[owners[i]]));
     }
     const size_t last = owners.back();
     routed.per_shard[last].blogs.push_back(std::move(blog));
-    routed.per_shard[last].routed_terms.push_back(std::move(owned[last]));
-    owned[last].clear();
+    routed.per_shard[last].routed_terms.push_back(
+        std::move(terms.owned[last]));
   }
   for (size_t i = 0; i < routed.per_shard.size(); ++i) {
     if (!routed.per_shard[i].blogs.empty()) routed.owners.push_back(i);

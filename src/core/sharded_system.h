@@ -17,7 +17,7 @@
 #include <mutex>
 #include <vector>
 
-#include "core/shard_router.h"
+#include "core/shard_layout.h"
 #include "core/sharded_query_engine.h"
 #include "core/system.h"
 
@@ -26,7 +26,8 @@ namespace kflush {
 /// Sharded system configuration.
 struct ShardedSystemOptions {
   /// Per-shard template; store.memory_budget_bytes is the TOTAL budget
-  /// (split evenly), queue capacity and stall factor apply per shard.
+  /// (split by ShardStoreOptions), queue capacity and stall factor apply
+  /// per shard.
   SystemOptions system;
   size_t num_shards = 1;
 };
@@ -95,7 +96,7 @@ class ShardedMicroblogSystem {
   MicroblogSystem* shard_system(size_t i) { return systems_[i].get(); }
   MicroblogStore* shard_store(size_t i) { return systems_[i]->store(); }
   ShardedQueryEngine* engine() { return engine_.get(); }
-  const ShardRouter& router() const { return router_; }
+  const ShardRouter& router() const { return routing_.router(); }
 
   /// Records in admitted batches (including term-less records that were
   /// dropped by the router); rejected batches contribute nothing.
@@ -134,9 +135,7 @@ class ShardedMicroblogSystem {
   bool CommitReserved(RoutedBatch* routed);
 
   ShardedSystemOptions options_;
-  Clock* clock_;
-  std::unique_ptr<AttributeExtractor> extractor_;
-  ShardRouter router_;
+  IngestRouter routing_;
   std::vector<std::unique_ptr<MicroblogSystem>> systems_;
   std::unique_ptr<ShardedQueryEngine> engine_;
 
@@ -149,7 +148,6 @@ class ShardedMicroblogSystem {
   bool stopping_ = false;
   size_t in_flight_submits_ = 0;
 
-  std::atomic<MicroblogId> next_id_{1};
   std::atomic<uint64_t> accepted_{0};
   std::atomic<uint64_t> routed_copies_{0};
   std::atomic<uint64_t> skipped_no_terms_{0};

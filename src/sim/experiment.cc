@@ -74,6 +74,37 @@ struct ShardedRun {
   QueryGenerator queries;
 };
 
+/// Phase B of both drivers: measured queries through `engine`,
+/// interleaved with continued ingest at the configured tweet/query rate
+/// ratio.
+template <typename RunT>
+void RunMeasuredQueries(const ExperimentConfig& config, RunT* run,
+                        QueryEngineBase* engine) {
+  TraceSpan measured_span("experiment", "measured_queries",
+                          {TraceArg::Uint("queries", config.num_queries)});
+  const double tweets_per_query =
+      config.queries_per_second <= 0.0
+          ? 0.0
+          : 1e6 / (config.queries_per_second *
+                   static_cast<double>(
+                       std::max<Timestamp>(
+                           config.stream.arrival_interval_micros, 1)));
+  double ingest_debt = 0.0;
+  for (uint64_t q = 0; q < config.num_queries; ++q) {
+    ingest_debt += tweets_per_query;
+    while (ingest_debt >= 1.0) {
+      run->StreamOne();
+      ingest_debt -= 1.0;
+    }
+    run->clock.Advance(1);  // queries razor-advance the clock
+    auto outcome = engine->Execute(run->queries.Next());
+    if (!outcome.ok()) {
+      KFLUSH_WARN("experiment query failed: " << outcome.status().ToString());
+    }
+  }
+  measured_span.End();
+}
+
 ExperimentResult RunShardedExperiment(const ExperimentConfig& config) {
   ShardedRun run(config);
   ExperimentResult result;
@@ -104,33 +135,10 @@ ExperimentResult RunShardedExperiment(const ExperimentConfig& config) {
       run.store.AggregatedIngestStats().flush_triggers >=
       config.steady_state_flushes;
 
-  TraceSpan measured_span("experiment", "measured_queries",
-                          {TraceArg::Uint("queries", config.num_queries)});
-  run.store.engine()->ResetMetrics();
-  const double tweets_per_query =
-      config.queries_per_second <= 0.0
-          ? 0.0
-          : 1e6 / (config.queries_per_second *
-                   static_cast<double>(
-                       std::max<Timestamp>(
-                           config.stream.arrival_interval_micros, 1)));
-  double ingest_debt = 0.0;
-  for (uint64_t q = 0; q < config.num_queries; ++q) {
-    ingest_debt += tweets_per_query;
-    while (ingest_debt >= 1.0) {
-      run.StreamOne();
-      ingest_debt -= 1.0;
-    }
-    run.clock.Advance(1);
-    TopKQuery query = run.queries.Next();
-    auto outcome = run.store.engine()->Execute(query);
-    if (!outcome.ok()) {
-      KFLUSH_WARN("experiment query failed: " << outcome.status().ToString());
-    }
-  }
-  measured_span.End();
-
-  result.query_metrics = run.store.engine()->metrics();
+  const MetricsSnapshot before = run.store.AggregatedMetrics();
+  RunMeasuredQueries(config, &run, run.store.engine());
+  result.metrics = run.store.AggregatedMetrics(/*include_per_shard=*/true);
+  result.query_metrics = QueryMetricsFromRegistry(result.metrics, before);
   if (config.audit_evictions) {
     for (size_t i = 0; i < n; ++i) {
       FlushPolicy* policy = run.store.shard(i)->policy();
@@ -158,7 +166,6 @@ ExperimentResult RunShardedExperiment(const ExperimentConfig& config) {
   result.frequency = ComputeFrequencySnapshot(sizes, run.store.k());
 
   result.peak_flush_buffer_bytes = run.store.PeakFlushBufferBytes();
-  result.metrics = run.store.AggregatedMetrics(/*include_per_shard=*/true);
   return result;
 }
 
@@ -190,36 +197,13 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   result.reached_steady_state =
       run.store.ingest_stats().flush_triggers >= config.steady_state_flushes;
 
-  // --- Phase B: measured queries interleaved with continued ingest at
-  // the configured tweet/query rate ratio. ---
-  TraceSpan measured_span("experiment", "measured_queries",
-                          {TraceArg::Uint("queries", config.num_queries)});
-  run.engine.ResetMetrics();
-  const double tweets_per_query =
-      config.queries_per_second <= 0.0
-          ? 0.0
-          : 1e6 / (config.queries_per_second *
-                   static_cast<double>(
-                       std::max<Timestamp>(
-                           config.stream.arrival_interval_micros, 1)));
-  double ingest_debt = 0.0;
-  for (uint64_t q = 0; q < config.num_queries; ++q) {
-    ingest_debt += tweets_per_query;
-    while (ingest_debt >= 1.0) {
-      run.StreamOne();
-      ingest_debt -= 1.0;
-    }
-    run.clock.Advance(1);  // queries razor-advance the clock
-    TopKQuery query = run.queries.Next();
-    auto outcome = run.engine.Execute(query);
-    if (!outcome.ok()) {
-      KFLUSH_WARN("experiment query failed: " << outcome.status().ToString());
-    }
-  }
-  measured_span.End();
+  // --- Phase B: measured queries. ---
+  const MetricsSnapshot before = run.store.metrics_registry()->Snapshot();
+  RunMeasuredQueries(config, &run, &run.engine);
 
   // --- Collect. ---
-  result.query_metrics = run.engine.metrics();
+  result.metrics = run.store.metrics_registry()->Snapshot();
+  result.query_metrics = QueryMetricsFromRegistry(result.metrics, before);
   const FlushPolicy* policy = run.store.policy();
   if (config.audit_evictions) {
     run.store.policy()->set_audit_trail(nullptr);
@@ -241,7 +225,6 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   result.frequency = ComputeFrequencySnapshot(sizes, run.store.k());
 
   result.peak_flush_buffer_bytes = run.store.flush_buffer().peak_bytes();
-  result.metrics = run.store.metrics_registry()->Snapshot();
   return result;
 }
 

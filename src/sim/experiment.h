@@ -57,7 +57,8 @@ struct ExperimentConfig {
 
 /// Everything the figures read off one run.
 struct ExperimentResult {
-  /// Hit ratios over the measured query phase.
+  /// Hit ratios over the measured query phase, from the registry
+  /// snapshots taken around it (QueryMetricsFromRegistry).
   QueryMetricsSnapshot query_metrics;
   /// k-filled terms at the end of the run (Figures 7/11/12).
   size_t k_filled_terms = 0;

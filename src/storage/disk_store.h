@@ -8,7 +8,8 @@
 // accurate", §VI).
 //
 // Two implementations ship: SimDiskStore (an accounting disk for fast
-// experiments) and FileDiskStore (real append-only segment files).
+// experiments) and SegmentDiskStore (checksummed segment files, the
+// durable tier; storage/segment.h).
 
 #ifndef KFLUSH_STORAGE_DISK_STORE_H_
 #define KFLUSH_STORAGE_DISK_STORE_H_

@@ -1,5 +1,5 @@
-// Checksummed, self-describing segment files: the durable replacement for
-// FileDiskStore's bare append file (docs/INTERNALS.md, "Durability").
+// Checksummed, self-describing segment files: the durable disk tier
+// (docs/INTERNALS.md, "Durability").
 //
 // Each flush batch seals exactly one segment file `seg-NNNNNN.kseg`:
 //

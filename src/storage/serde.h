@@ -1,5 +1,6 @@
-// Binary (de)serialization of microblog records: the on-disk segment record
-// format used by FileDiskStore and the trace file format used by gen/trace.
+// Binary (de)serialization of microblog records: the record encoding inside
+// WAL and segment frames, the wire protocol's records, and the trace file
+// format used by gen/trace.
 //
 // Record layout (little-endian):
 //   u32 payload_len (bytes after this field)

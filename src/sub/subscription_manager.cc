@@ -481,8 +481,7 @@ namespace {
 /// memory postings of a term need not be a score-prefix of memory ∪ disk,
 /// so a memory-only answer could be degraded exactly when a refill is
 /// needed most.
-template <typename Engine>
-Result<QueryResult> SnapshotQueryOn(Engine* engine,
+Result<QueryResult> SnapshotQueryOn(QueryEngineBase* engine,
                                     const SubscriptionSpec& spec, uint32_t k) {
   if (spec.kind == SubKind::kArea) {
     return engine->SearchArea(spec.box.min_lat, spec.box.min_lon,
@@ -500,25 +499,26 @@ Result<QueryResult> SnapshotQueryOn(Engine* engine,
   return engine->Execute(query);
 }
 
+/// A manager whose snapshot/refill queries run on `engine`.
+std::unique_ptr<SubscriptionManager> ManagerOn(QueryEngineBase* engine) {
+  return std::make_unique<SubscriptionManager>(
+      [engine](const SubscriptionSpec& spec, uint32_t k) {
+        return SnapshotQueryOn(engine, spec, k);
+      });
+}
+
 }  // namespace
 
 std::unique_ptr<SubscriptionManager> MakeSubscriptions(MicroblogStore* store,
                                                        QueryEngine* engine) {
-  auto manager = std::make_unique<SubscriptionManager>(
-      [engine](const SubscriptionSpec& spec, uint32_t k) {
-        return SnapshotQueryOn(engine, spec, k);
-      });
+  auto manager = ManagerOn(engine);
   manager->AttachStore(store);
   return manager;
 }
 
 std::unique_ptr<SubscriptionManager> MakeSubscriptions(
     ShardedMicroblogStore* store) {
-  ShardedQueryEngine* engine = store->engine();
-  auto manager = std::make_unique<SubscriptionManager>(
-      [engine](const SubscriptionSpec& spec, uint32_t k) {
-        return SnapshotQueryOn(engine, spec, k);
-      });
+  auto manager = ManagerOn(store->engine());
   for (size_t i = 0; i < store->num_shards(); ++i) {
     manager->AttachStore(store->shard(i));
   }
@@ -527,11 +527,7 @@ std::unique_ptr<SubscriptionManager> MakeSubscriptions(
 
 std::unique_ptr<SubscriptionManager> MakeSubscriptions(
     ShardedMicroblogSystem* system) {
-  ShardedQueryEngine* engine = system->engine();
-  auto manager = std::make_unique<SubscriptionManager>(
-      [engine](const SubscriptionSpec& spec, uint32_t k) {
-        return SnapshotQueryOn(engine, spec, k);
-      });
+  auto manager = ManagerOn(system->engine());
   for (size_t i = 0; i < system->num_shards(); ++i) {
     manager->AttachStore(system->shard_store(i));
   }

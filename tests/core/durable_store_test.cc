@@ -26,7 +26,7 @@ using testing_util::SmallStoreOptions;
 class DurableStoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/kflush_durable_store_test";
+    dir_ = testing_util::UniqueTempPath("kflush_durable_store_test");
     RemoveTree(dir_);
   }
   void TearDown() override { RemoveTree(dir_); }

@@ -10,7 +10,7 @@
 #include "../testing/test_util.h"
 #include "core/query_engine.h"
 #include "model/attribute.h"
-#include "storage/file_disk_store.h"
+#include "storage/segment.h"
 
 namespace kflush {
 namespace {
@@ -174,10 +174,10 @@ TEST(PopularityRankedQueriesTest, CelebrityOutranksRecency) {
 }
 
 TEST(FileDiskBackedStoreTest, MissPathReadsFromRealFiles) {
-  const std::string path = ::testing::TempDir() + "/kflush_engine_disk.dat";
-  std::remove(path.c_str());
-  auto disk = FileDiskStore::Open(path);
-  ASSERT_TRUE(disk.ok());
+  const std::string dir = testing_util::UniqueTempPath("kflush_engine_disk");
+  testing_util::RemoveTree(dir);
+  auto disk = SegmentDiskStore::OpenOrRecover(dir, DurabilityLevel::kBatch);
+  ASSERT_TRUE(disk.ok()) << disk.status().ToString();
 
   StoreOptions opts = SmallStoreOptions(PolicyKind::kKFlushing, 1 << 20, kK);
   opts.disk = disk->get();
@@ -187,7 +187,7 @@ TEST(FileDiskBackedStoreTest, MissPathReadsFromRealFiles) {
   for (MicroblogId id = 1; id <= 30; ++id) {
     ASSERT_TRUE(store.Insert(MakeBlog(id, id * 10, {1})).ok());
   }
-  store.FlushOnce();  // pushes the tail of keyword 1 onto the real file
+  store.FlushOnce();  // seals the tail of keyword 1 into a segment file
 
   TopKQuery q;
   q.terms = {1};
@@ -202,7 +202,7 @@ TEST(FileDiskBackedStoreTest, MissPathReadsFromRealFiles) {
   }
   EXPECT_GT(result->from_disk, 0u);
   EXPECT_GT(disk->get()->stats().records_read, 0u);
-  std::remove(path.c_str());
+  testing_util::RemoveTree(dir);
 }
 
 }  // namespace

@@ -36,6 +36,11 @@ class QueryEngineTest : public ::testing::Test {
     return q;
   }
 
+  /// Every query the engine recorded in the store's registry.
+  QueryMetricsSnapshot Recorded() {
+    return QueryMetricsFromRegistry(store_.metrics_registry()->Snapshot());
+  }
+
   MicroblogStore store_;
   QueryEngine engine_;
 };
@@ -165,7 +170,7 @@ TEST_F(QueryEngineTest, MetricsTrackHitsAndTypes) {
   ASSERT_TRUE(engine_.Execute(Single(1)).ok());   // hit
   ASSERT_TRUE(engine_.Execute(Single(99)).ok());  // miss
   ASSERT_TRUE(engine_.Execute(Multi(QueryType::kOr, 1, 99)).ok());  // miss
-  auto snap = engine_.metrics();
+  const QueryMetricsSnapshot snap = Recorded();
   EXPECT_EQ(snap.queries, 3u);
   EXPECT_EQ(snap.memory_hits, 1u);
   EXPECT_EQ(snap.memory_misses, 2u);
@@ -173,8 +178,8 @@ TEST_F(QueryEngineTest, MetricsTrackHitsAndTypes) {
   EXPECT_DOUBLE_EQ(snap.HitRatioFor(QueryType::kSingle), 0.5);
   EXPECT_DOUBLE_EQ(snap.HitRatioFor(QueryType::kOr), 0.0);
   EXPECT_GT(snap.disk_term_reads, 0u);
-  engine_.ResetMetrics();
-  EXPECT_EQ(engine_.metrics().queries, 0u);
+  store_.metrics_registry()->Reset();
+  EXPECT_EQ(Recorded().queries, 0u);
 }
 
 TEST_F(QueryEngineTest, DiskReadMetricIsExactlyTheDiskStatsDelta) {
@@ -189,7 +194,7 @@ TEST_F(QueryEngineTest, DiskReadMetricIsExactlyTheDiskStatsDelta) {
   for (MicroblogId id = 1; id <= 8; ++id) Ingest(id, id * 10, {1});
   ASSERT_TRUE(engine_.Execute(Single(1)).ok());
   EXPECT_EQ(store_.disk()->stats().term_queries, disk_before);
-  EXPECT_EQ(engine_.metrics().disk_term_reads, 0u);
+  EXPECT_EQ(Recorded().disk_term_reads, 0u);
 
   // Push the tail of keyword 1 to disk, then miss on purpose: exactly one
   // disk term query per short term.
@@ -205,7 +210,7 @@ TEST_F(QueryEngineTest, DiskReadMetricIsExactlyTheDiskStatsDelta) {
   ASSERT_TRUE(engine_.Execute(Multi(QueryType::kOr, 1, 99)).ok());
   EXPECT_GE(store_.disk()->stats().term_queries, disk_before + 2);
   EXPECT_LE(store_.disk()->stats().term_queries, disk_before + 3);
-  EXPECT_EQ(engine_.metrics().disk_term_reads,
+  EXPECT_EQ(Recorded().disk_term_reads,
             store_.disk()->stats().term_queries - disk_before);
 }
 

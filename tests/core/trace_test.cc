@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "../testing/test_util.h"
 #include "util/clock.h"
 #include "util/thread_util.h"
 
@@ -287,7 +288,7 @@ TEST_F(TraceTest, WriteFileRoundTrip) {
   tracer->Stop();
 
   const std::string path =
-      ::testing::TempDir() + "/trace_write_file_roundtrip.json";
+      testing_util::UniqueTempPath("trace_write_file_roundtrip.json");
   ASSERT_TRUE(TraceExporter::WriteFile(path).ok());
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
@@ -352,17 +353,18 @@ TEST_F(TraceTest, GoldenChromeTraceJson) {
   std::string expected = ReadWholeFile(std::string(KFLUSH_TEST_DATA_DIR) +
                                        "/trace_golden.json");
   ReplaceAll(&expected, "@TID@", std::to_string(ThisThreadId()));
+  const std::string regen_path =
+      testing_util::UniqueTempPath("trace_golden_actual.json");
   if (actual.str() != expected) {
     // Regeneration aid: the actual output with the tid swapped back to the
     // placeholder, ready to copy over the golden file.
     std::string regen = actual.str();
     ReplaceAll(&regen, "\"tid\":" + std::to_string(ThisThreadId()),
                "\"tid\":@TID@");
-    std::ofstream(::testing::TempDir() + "/trace_golden_actual.json") << regen;
+    std::ofstream(regen_path) << regen;
   }
   EXPECT_EQ(actual.str(), expected)
-      << "golden mismatch; regenerated candidate at "
-      << ::testing::TempDir() << "/trace_golden_actual.json";
+      << "golden mismatch; regenerated candidate at " << regen_path;
 }
 
 }  // namespace

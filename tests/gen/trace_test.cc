@@ -15,7 +15,7 @@ using testing_util::MakeBlog;
 class TraceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/kflush_trace_test.trace";
+    path_ = testing_util::UniqueTempPath("kflush_trace_test.trace");
   }
   void TearDown() override { std::remove(path_.c_str()); }
   std::string path_;

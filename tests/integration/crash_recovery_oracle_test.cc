@@ -202,8 +202,8 @@ class CrashRecoveryOracleTest
 
 TEST_P(CrashRecoveryOracleTest, KillAnywhereLosesNoAckedRecord) {
   const PolicyKind policy = GetParam();
-  const std::string dir = ::testing::TempDir() + "/kflush_crash_oracle_" +
-                          std::string(PolicyKindName(policy));
+  const std::string dir = testing_util::UniqueTempPath(
+      std::string("kflush_crash_oracle_") + PolicyKindName(policy));
   const std::string ref_dir = dir + "_ref";
 
   // Probe: count the crash-point sites one full run passes through.

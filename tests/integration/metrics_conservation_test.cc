@@ -11,6 +11,8 @@
 //   disk.records_written   == flush.records_flushed   (buffer fully drained)
 //   query.executed         == query.memory_hits + query.memory_misses
 //                          == sum of per-type/per-outcome latency counts
+//                          == top-level queries run, at every shard count
+//                             (fan-out sub-queries are not queries)
 
 #include <gtest/gtest.h>
 
@@ -19,7 +21,9 @@
 #include <string>
 #include <vector>
 
+#include "../testing/test_util.h"
 #include "core/query_engine.h"
+#include "core/sharded_store.h"
 #include "gen/query_generator.h"
 #include "gen/tweet_generator.h"
 #include "policy/flush_policy.h"
@@ -29,11 +33,13 @@ namespace kflush {
 namespace {
 
 // Store + engine + clock bundle (heap-held: SimClock's atomic makes the
-// bundle non-movable).
+// bundle non-movable), plus the ground truth of the queries it ran.
 struct Workload {
   SimClock clock{1'000'000};
   std::unique_ptr<MicroblogStore> store;
   std::unique_ptr<QueryEngine> engine;
+  uint64_t queries = 0;
+  uint64_t hits = 0;  // results with memory_hit
 };
 
 // Streams a small seeded workload (enough inserts to force several flush
@@ -73,8 +79,22 @@ std::unique_ptr<Workload> RunWorkload(PolicyKind policy,
     run.clock.Advance(1);
     auto outcome = run.engine->Execute(queries.Next());
     EXPECT_TRUE(outcome.ok());
+    ++run.queries;
+    if (outcome.ok() && outcome->memory_hit) ++run.hits;
   }
   return owned;
+}
+
+// Samples in the six query.latency_micros.<type>.<hit|miss> histograms.
+uint64_t LatencySamples(const MetricsSnapshot& snap) {
+  uint64_t samples = 0;
+  for (QueryType type : {QueryType::kSingle, QueryType::kAnd, QueryType::kOr}) {
+    for (bool hit : {true, false}) {
+      auto it = snap.histograms.find(QueryLatencySeries(type, hit));
+      if (it != snap.histograms.end()) samples += it->second.count();
+    }
+  }
+  return samples;
 }
 
 uint64_t SumPhases(const MetricsSnapshot& snap, const std::string& field) {
@@ -145,16 +165,19 @@ TEST(MetricsConservationTest, QueryHitsPlusMissesEqualQueries) {
     auto run = RunWorkload(policy);
     const MetricsSnapshot snap = run->store->metrics_registry()->Snapshot();
     const uint64_t executed = snap.counter_or("query.executed");
-    EXPECT_EQ(executed, 1'000u) << PolicyKindName(policy);
+    EXPECT_EQ(executed, run->queries) << PolicyKindName(policy);
+    EXPECT_EQ(snap.counter_or("query.memory_hits"), run->hits)
+        << PolicyKindName(policy);
     EXPECT_EQ(executed, snap.counter_or("query.memory_hits") +
                             snap.counter_or("query.memory_misses"))
         << PolicyKindName(policy);
+    // Per-type/per-outcome latency histograms partition the queries.
+    EXPECT_EQ(LatencySamples(snap), run->queries) << PolicyKindName(policy);
 
-    // The engine's own snapshot must agree with the registry.
-    const QueryMetricsSnapshot qm = run->engine->metrics();
-    EXPECT_EQ(qm.queries, executed) << PolicyKindName(policy);
-    EXPECT_EQ(qm.memory_hits, snap.counter_or("query.memory_hits"))
-        << PolicyKindName(policy);
+    // The hit-ratio view derived from those histograms agrees.
+    const QueryMetricsSnapshot qm = QueryMetricsFromRegistry(snap);
+    EXPECT_EQ(qm.queries, run->queries) << PolicyKindName(policy);
+    EXPECT_EQ(qm.memory_hits, run->hits) << PolicyKindName(policy);
     uint64_t by_type = 0, hits_by_type = 0;
     for (int i = 0; i < 3; ++i) {
       by_type += qm.queries_by_type[i];
@@ -162,19 +185,76 @@ TEST(MetricsConservationTest, QueryHitsPlusMissesEqualQueries) {
     }
     EXPECT_EQ(by_type, qm.queries) << PolicyKindName(policy);
     EXPECT_EQ(hits_by_type, qm.memory_hits) << PolicyKindName(policy);
-
-    // Per-type/per-outcome latency histograms partition the queries.
-    uint64_t latency_samples = 0;
-    for (const char* type : {"single", "and", "or"}) {
-      for (const char* outcome : {"hit", "miss"}) {
-        const std::string name = std::string("query.latency_micros.") + type +
-                                 "." + outcome;
-        auto it = snap.histograms.find(name);
-        if (it != snap.histograms.end()) latency_samples += it->second.count();
-      }
-    }
-    EXPECT_EQ(latency_samples, executed) << PolicyKindName(policy);
+    EXPECT_EQ(qm.disk_term_reads, snap.counter_or("disk.term_queries"))
+        << PolicyKindName(policy);
   }
+}
+
+// The shard oracle's keyword stream through a sharded store, then
+// correlated top-level queries through its fan-out engine (every type,
+// OR groups spanning shards). Each query must be recorded exactly once,
+// in the registry of the shard owning its first term.
+void ExpectFanOutCountedOnce(size_t shards) {
+  TweetGeneratorOptions stream;
+  stream.seed = 20160516;
+  stream.vocabulary_size = 3000;
+  stream.num_users = 1500;
+  SimClock clock(stream.start_time);
+  ShardedStoreOptions options;
+  options.store.memory_budget_bytes = 256 * 1024;
+  options.store.flush_fraction = 0.2;
+  options.store.k = 10;
+  options.store.policy = PolicyKind::kKFlushing;
+  options.store.auto_flush = true;
+  options.store.clock = &clock;
+  options.num_shards = shards;
+  ShardedMicroblogStore store(options);
+  TweetGenerator tweets(stream);
+  for (int i = 0; i < 20'000; ++i) {
+    Microblog blog = tweets.Next();
+    clock.Set(blog.created_at);
+    ASSERT_TRUE(store.Insert(std::move(blog)).ok());
+  }
+
+  QueryWorkloadOptions workload;
+  workload.seed = 777;
+  workload.kind = WorkloadKind::kCorrelated;
+  QueryGenerator queries(workload, stream);
+  constexpr uint64_t kQueries = 3'000;
+  uint64_t hits = 0;
+  std::vector<uint64_t> led_by(shards, 0);  // queries per first-term owner
+  for (uint64_t q = 0; q < kQueries; ++q) {
+    clock.Advance(1);
+    const TopKQuery query = queries.Next();
+    auto outcome = store.engine()->Execute(query);
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    if (outcome->memory_hit) ++hits;
+    ++led_by[store.router().ShardForTerm(query.terms[0])];
+  }
+
+  const MetricsSnapshot snap = store.AggregatedMetrics();
+  EXPECT_EQ(snap.counter_or("query.executed"), kQueries);
+  EXPECT_EQ(snap.counter_or("query.memory_hits"), hits);
+  EXPECT_EQ(snap.counter_or("query.memory_misses"), kQueries - hits);
+  EXPECT_EQ(LatencySamples(snap), kQueries);
+  const QueryMetricsSnapshot qm = QueryMetricsFromRegistry(snap);
+  EXPECT_EQ(qm.queries, kQueries);
+  EXPECT_EQ(qm.memory_hits, hits);
+  EXPECT_GT(qm.queries_by_type[static_cast<int>(QueryType::kAnd)], 0u);
+  for (size_t i = 0; i < shards; ++i) {
+    EXPECT_EQ(store.shard(i)->metrics_registry()->Snapshot().counter_or(
+                  "query.executed"),
+              led_by[i])
+        << "shard " << i;
+  }
+}
+
+TEST(MetricsConservationTest, FanOutQueriesCountedOnceAtOneShard) {
+  ExpectFanOutCountedOnce(1);
+}
+
+TEST(MetricsConservationTest, FanOutQueriesCountedOnceAtTestShards) {
+  ExpectFanOutCountedOnce(testing_util::TestShardCount());
 }
 
 TEST(MetricsConservationTest, EvictionAuditReconcilesAcrossFullWorkload) {

@@ -1,5 +1,6 @@
-// Parameterized parity suite: SimDiskStore and FileDiskStore must behave
-// identically through the DiskStore interface.
+// Parameterized parity suite: the accounting disk (SimDiskStore) and the
+// file-backed tier the durable deployment ships (SegmentDiskStore) must
+// behave identically through the DiskStore interface.
 
 #include "storage/disk_store.h"
 
@@ -9,14 +10,16 @@
 #include <memory>
 
 #include "../testing/test_util.h"
-#include "storage/file_disk_store.h"
+#include "storage/segment.h"
 #include "storage/sim_disk_store.h"
 
 namespace kflush {
 namespace {
 
 using testing_util::MakeBlog;
+using testing_util::RemoveTree;
 
+// kFile is SegmentDiskStore: sealed segment files in a fresh directory.
 enum class StoreType { kSim, kFile };
 
 class DiskStoreTest : public ::testing::TestWithParam<StoreType> {
@@ -25,9 +28,10 @@ class DiskStoreTest : public ::testing::TestWithParam<StoreType> {
     if (GetParam() == StoreType::kSim) {
       store_ = std::make_unique<SimDiskStore>();
     } else {
-      path_ = ::testing::TempDir() + "/kflush_disk_test.dat";
-      std::remove(path_.c_str());  // Open is exclusive-create
-      auto opened = FileDiskStore::Open(path_);
+      dir_ = testing_util::UniqueTempPath("kflush_disk_test");
+      RemoveTree(dir_);
+      auto opened =
+          SegmentDiskStore::OpenOrRecover(dir_, DurabilityLevel::kBatch);
       ASSERT_TRUE(opened.ok()) << opened.status().ToString();
       store_ = std::move(opened).value();
     }
@@ -35,11 +39,11 @@ class DiskStoreTest : public ::testing::TestWithParam<StoreType> {
 
   void TearDown() override {
     store_.reset();
-    if (!path_.empty()) std::remove(path_.c_str());
+    if (!dir_.empty()) RemoveTree(dir_);
   }
 
   std::unique_ptr<DiskStore> store_;
-  std::string path_;
+  std::string dir_;
 };
 
 TEST_P(DiskStoreTest, EmptyQueries) {
@@ -133,27 +137,6 @@ INSTANTIATE_TEST_SUITE_P(Backends, DiskStoreTest,
                            return info.param == StoreType::kSim ? "Sim"
                                                                 : "File";
                          });
-
-TEST(FileDiskStoreTest, OpenFailsOnBadPath) {
-  auto opened = FileDiskStore::Open("/nonexistent-dir/file.dat");
-  EXPECT_FALSE(opened.ok());
-  EXPECT_TRUE(opened.status().IsIOError());
-}
-
-TEST(FileDiskStoreTest, LargeRecordsRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/kflush_large.dat";
-  std::remove(path.c_str());
-  auto opened = FileDiskStore::Open(path);
-  ASSERT_TRUE(opened.ok());
-  auto store = std::move(opened).value();
-  std::vector<Microblog> batch;
-  batch.push_back(MakeBlog(1, 1, {}, 1, std::string(64 * 1024, 'q')));
-  ASSERT_TRUE(store->WriteBatch(std::move(batch)).ok());
-  Microblog blog;
-  ASSERT_TRUE(store->GetRecord(1, &blog).ok());
-  EXPECT_EQ(blog.text.size(), 64u * 1024);
-  std::remove(path.c_str());
-}
 
 }  // namespace
 }  // namespace kflush

@@ -97,7 +97,9 @@ TEST(FailureInjectionTest, QueryPropagatesDiskReadErrors) {
   EXPECT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsIOError());
   // Metrics must not count the failed query.
-  EXPECT_EQ(engine.metrics().queries, 0u);
+  EXPECT_EQ(
+      QueryMetricsFromRegistry(store.metrics_registry()->Snapshot()).queries,
+      0u);
   // And the engine recovers once the disk does.
   disk.fail_queries.store(false);
   auto retry = engine.Execute(q);

@@ -1,6 +1,7 @@
 // SegmentDiskStore: sealed-segment write/read round trips, catalog and
 // term-index rebuild on OpenOrRecover, torn-segment salvage + reseal,
-// headerless-file removal, and sequence resumption after restart.
+// headerless-file removal, sequence resumption after restart, writes
+// after recovery, and open failures surfacing as errors.
 
 #include "storage/segment.h"
 
@@ -27,7 +28,7 @@ double ScoreByCreatedAt(const Microblog& blog) {
 class SegmentStoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/kflush_segment_test";
+    dir_ = testing_util::UniqueTempPath("kflush_segment_test");
     RemoveTree(dir_);
   }
   void TearDown() override { RemoveTree(dir_); }
@@ -221,6 +222,77 @@ TEST_F(SegmentStoreTest, PostingsOrderAndDuplicatesMatchDiskContract) {
   double max_score = 0;
   ASSERT_TRUE(store->MaxTermScore(1, &max_score));
   EXPECT_EQ(max_score, 9.0);
+}
+
+TEST_F(SegmentStoreTest, LargeRecordsRoundTrip) {
+  auto store = OpenFresh();
+  ASSERT_NE(store, nullptr);
+  ASSERT_TRUE(
+      store->WriteBatch({MakeBlog(1, 1, {}, 1, std::string(64 * 1024, 'q'))})
+          .ok());
+  Microblog blog;
+  ASSERT_TRUE(store->GetRecord(1, &blog).ok());
+  EXPECT_EQ(blog.text.size(), 64u * 1024);
+  store.reset();
+
+  auto reopened = OpenFresh();
+  ASSERT_NE(reopened, nullptr);
+  ASSERT_TRUE(reopened->GetRecord(1, &blog).ok());
+  EXPECT_EQ(blog.text, std::string(64 * 1024, 'q'));
+}
+
+TEST_F(SegmentStoreTest, OpenFailsOnBadPath) {
+  // A directory cannot be created beneath a regular file (not even by
+  // root), so the open must fail with an error instead of a store.
+  const std::string file = dir_ + ".file";
+  std::FILE* f = std::fopen(file.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fclose(f);
+  auto opened = SegmentDiskStore::OpenOrRecover(file + "/segments",
+                                                DurabilityLevel::kBatch);
+  std::remove(file.c_str());
+  EXPECT_FALSE(opened.ok());
+  EXPECT_TRUE(opened.status().IsIOError()) << opened.status().ToString();
+}
+
+TEST_F(SegmentStoreTest, RecoveredStoreAcceptsNewWrites) {
+  {
+    auto store = OpenFresh();
+    ASSERT_NE(store, nullptr);
+    ASSERT_TRUE(store->WriteBatch({MakeBlog(1, 10, {1})}).ok());
+  }
+  auto reopened = OpenFresh();
+  ASSERT_NE(reopened, nullptr);
+  ASSERT_TRUE(reopened->WriteBatch({MakeBlog(2, 20, {1})}).ok());
+  EXPECT_EQ(reopened->NumRecords(), 2u);
+  Microblog blog;
+  EXPECT_TRUE(reopened->GetRecord(1, &blog).ok());
+  EXPECT_TRUE(reopened->GetRecord(2, &blog).ok());
+}
+
+TEST_F(SegmentStoreTest, RecoveryDoesNotInflateWriteCounters) {
+  {
+    auto store = OpenFresh();
+    ASSERT_NE(store, nullptr);
+    ASSERT_TRUE(
+        store->WriteBatch({MakeBlog(1, 10, {1}), MakeBlog(2, 20, {1})}).ok());
+    EXPECT_EQ(store->stats().records_written, 2u);
+  }
+  // Repeated open/recover cycles: recovered records are counted as
+  // recovered, never re-counted as written.
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    auto reopened = OpenFresh();
+    ASSERT_NE(reopened, nullptr);
+    const DiskStats stats = reopened->stats();
+    EXPECT_EQ(stats.records_recovered, 2u + cycle);
+    EXPECT_EQ(stats.records_written, 0u);
+    EXPECT_EQ(stats.record_bytes_written, 0u);
+    ASSERT_TRUE(reopened
+                    ->WriteBatch({MakeBlog(static_cast<MicroblogId>(3 + cycle),
+                                           30, {1})})
+                    .ok());
+    EXPECT_EQ(reopened->stats().records_written, 1u);
+  }
 }
 
 }  // namespace

@@ -23,7 +23,7 @@ using ReplayedEntry = std::pair<Microblog, std::vector<TermId>>;
 class WalTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/kflush_wal_test.log";
+    path_ = testing_util::UniqueTempPath("kflush_wal_test.log");
     std::remove(path_.c_str());
   }
   void TearDown() override { std::remove(path_.c_str()); }

@@ -120,8 +120,7 @@ TEST(AdmissionStress, SaturatedQueuesAdmitEveryRecordExactlyOnce) {
 // acked records, once each, even after the NACKed batch is retried.
 TEST(AdmissionStress, NackedBatchNeverReplaysFromWal) {
   stress::AnnounceSeed();
-  const std::string dir =
-      ::testing::TempDir() + "/admission_wal_stress";
+  const std::string dir = testing_util::UniqueTempPath("admission_wal_stress");
   testing_util::RemoveTree(dir);
 
   constexpr size_t kShards = 2;

@@ -1,10 +1,10 @@
 // Race-stress for the metrics layer, meant to run under TSan (label:
-// stress). Hammers QueryMetrics::Record from several threads while a
-// snapshotter loop checks the anti-tearing contract: a concurrent snapshot
-// must never show hits + misses > queries (a hit ratio above 100% was the
-// observable symptom of the torn reads this port fixed), and never a
-// per-type hit count above its per-type query count. Also stresses
-// ConcurrentHistogram's Record/Snapshot/Reset stripes.
+// stress). Runs engine queries from several threads while snapshotter
+// loops derive the hit-ratio view from the live registry: a concurrent
+// read must never show hits + misses > queries (a hit ratio above 100% was
+// the observable symptom of torn reads), and never a per-type hit count
+// above its per-type query count. Also stresses ConcurrentHistogram's
+// Record/Snapshot/Reset stripes.
 
 #include <gtest/gtest.h>
 
@@ -13,56 +13,71 @@
 #include <thread>
 #include <vector>
 
+#include "../testing/test_util.h"
 #include "core/metrics.h"
 #include "core/metrics_registry.h"
+#include "core/query_engine.h"
 
 namespace kflush {
 namespace {
 
-TEST(MetricsStressTest, SnapshotNeverTearsHitRatioAbove100Percent) {
-  QueryMetrics metrics;
-  std::atomic<bool> stop{false};
-  constexpr int kRecorders = 4;
-  constexpr uint64_t kPerRecorder = 40'000;
+using testing_util::MakeBlog;
+using testing_util::SmallStoreOptions;
 
-  std::vector<std::thread> recorders;
-  for (int t = 0; t < kRecorders; ++t) {
-    recorders.emplace_back([&metrics, t] {
-      for (uint64_t i = 0; i < kPerRecorder; ++i) {
-        const auto type = static_cast<QueryType>((i + t) % 3);
-        const bool hit = ((i ^ t) & 1) != 0;
-        metrics.Record(type, hit, /*disk_term_reads=*/hit ? 0 : 2,
-                       /*latency_micros=*/10 + i % 90);
+TEST(MetricsStressTest, SnapshotNeverTearsHitRatioAbove100Percent) {
+  MicroblogStore store(SmallStoreOptions(PolicyKind::kKFlushing, 1 << 20, 2));
+  // Terms 1 and 2 each hold k in memory (hits); term 99 holds nothing
+  // (misses, with a disk read).
+  for (MicroblogId id = 1; id <= 6; ++id) {
+    ASSERT_TRUE(store.Insert(MakeBlog(id, id * 10, {1, 2})).ok());
+  }
+  QueryEngine engine(&store);
+  std::atomic<bool> stop{false};
+  constexpr int kQueriers = 4;
+  constexpr uint64_t kPerQuerier = 4'000;
+
+  std::vector<std::thread> queriers;
+  for (int t = 0; t < kQueriers; ++t) {
+    queriers.emplace_back([&engine, t] {
+      for (uint64_t i = 0; i < kPerQuerier; ++i) {
+        TopKQuery query;
+        query.type = static_cast<QueryType>((i + t) % 3);
+        const TermId first = ((i ^ t) & 1) != 0 ? 1 : 99;
+        query.terms = {first};
+        if (query.type != QueryType::kSingle) query.terms.push_back(2);
+        ASSERT_TRUE(engine.Execute(query).ok());
       }
     });
   }
 
   std::vector<std::thread> snapshotters;
   for (int t = 0; t < 2; ++t) {
-    snapshotters.emplace_back([&metrics, &stop] {
+    snapshotters.emplace_back([&store, &stop] {
       while (!stop.load(std::memory_order_acquire)) {
-        const QueryMetricsSnapshot snap = metrics.Snapshot();
+        const QueryMetricsSnapshot snap =
+            QueryMetricsFromRegistry(store.metrics_registry()->Snapshot());
         ASSERT_LE(snap.memory_hits + snap.memory_misses, snap.queries);
         for (int i = 0; i < 3; ++i) {
           ASSERT_LE(snap.hits_by_type[i], snap.queries_by_type[i]) << i;
         }
         ASSERT_LE(snap.HitRatio(), 1.0);
-        ASSERT_LE(snap.latency_micros.count(), snap.queries);
       }
     });
   }
 
-  for (auto& th : recorders) th.join();
+  for (auto& th : queriers) th.join();
   stop.store(true, std::memory_order_release);
   for (auto& th : snapshotters) th.join();
 
   // Quiesced: every equality holds exactly.
-  const QueryMetricsSnapshot final_snap = metrics.Snapshot();
-  const uint64_t total = kRecorders * kPerRecorder;
+  const MetricsSnapshot registry = store.metrics_registry()->Snapshot();
+  const QueryMetricsSnapshot final_snap = QueryMetricsFromRegistry(registry);
+  const uint64_t total = kQueriers * kPerQuerier;
   EXPECT_EQ(final_snap.queries, total);
   EXPECT_EQ(final_snap.memory_hits + final_snap.memory_misses, total);
   EXPECT_EQ(final_snap.memory_hits, total / 2);
-  EXPECT_EQ(final_snap.latency_micros.count(), total);
+  EXPECT_EQ(registry.counter_or("query.executed"), total);
+  EXPECT_EQ(registry.counter_or("query.memory_hits"), final_snap.memory_hits);
   uint64_t by_type = 0, hits_by_type = 0;
   for (int i = 0; i < 3; ++i) {
     by_type += final_snap.queries_by_type[i];

@@ -4,7 +4,9 @@
 #define KFLUSH_TESTS_TESTING_TEST_UTIL_H_
 
 #include <dirent.h>
+#include <gtest/gtest.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -83,6 +85,16 @@ inline bool RecordsEqual(const Microblog& a, const Microblog& b) {
          (!a.has_location || (a.location.lat == b.location.lat &&
                               a.location.lon == b.location.lon)) &&
          a.text == b.text && a.keywords == b.keywords;
+}
+
+/// A path under ::testing::TempDir() unique to this test process: `name`
+/// plus the pid. gtest_discover_tests runs every case as its own process,
+/// so under `ctest -j` cases that share a fixture's name still never share
+/// (or RemoveTree) each other's files. Compute it before forking: a child
+/// that must reach its parent's files cannot recompute it.
+inline std::string UniqueTempPath(const std::string& name) {
+  return ::testing::TempDir() + "/" + name + "." +
+         std::to_string(::getpid());
 }
 
 /// Recursively deletes `path` (file or directory tree). Durability tests

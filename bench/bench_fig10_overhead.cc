@@ -12,7 +12,7 @@
 #include <thread>
 
 #include "bench_util.h"
-#include "core/system.h"
+#include "core/sharded_system.h"
 
 using namespace kflush;
 using namespace kflush::bench;
@@ -22,11 +22,12 @@ namespace {
 /// Streams as fast as possible for `seconds` of wall time with two query
 /// threads running; returns digested tweets per second.
 double MeasureDigestionRate(PolicyKind policy, uint32_t k, double seconds) {
-  SystemOptions opts;
-  opts.store = DefaultConfig(policy).store;
-  opts.store.k = k;
-  opts.ingest_queue_capacity = 64;
-  MicroblogSystem system(opts);
+  ShardedSystemOptions opts;
+  opts.system.store = DefaultConfig(policy).store;
+  opts.system.store.k = k;
+  opts.system.ingest_queue_capacity = 64;
+  opts.num_shards = 1;
+  ShardedMicroblogSystem system(opts);
   system.Start();
 
   std::atomic<bool> stop{false};

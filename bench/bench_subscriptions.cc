@@ -77,7 +77,7 @@ PointResult RunOne(int num_subs, const std::vector<Microblog>& stream,
   std::unique_ptr<SubscriptionManager> subs;
   std::vector<uint64_t> sub_ids;
   if (num_subs >= 0) {
-    subs = MakeSubscriptions(&store);
+    subs = MakeSubscriptions(store.engine());
     sub_ids.reserve(static_cast<size_t>(num_subs));
     for (int i = 0; i < num_subs; ++i) {
       SubscriptionSpec spec;

@@ -1,13 +1,14 @@
 // Trending dashboard: the workload the paper's introduction motivates —
 // a high-rate tweet stream digested in real time by the threaded
-// MicroblogSystem while keyword searches run concurrently. The dashboard
+// deployment (ShardedMicroblogSystem, one shard) while keyword searches
+// run concurrently. The dashboard
 // periodically reports the hottest hashtags, the memory hit ratio, and
 // flushing activity, contrasting the kFlushing policy with FIFO.
 
 #include <cstdio>
 #include <map>
 
-#include "core/system.h"
+#include "core/sharded_system.h"
 #include "gen/query_generator.h"
 #include "gen/tweet_generator.h"
 
@@ -19,11 +20,12 @@ void RunDashboard(PolicyKind policy) {
   std::printf("\n================ policy: %s ================\n",
               PolicyKindName(policy));
 
-  SystemOptions options;
-  options.store.memory_budget_bytes = 16 << 20;
-  options.store.k = 20;
-  options.store.policy = policy;
-  MicroblogSystem system(options);
+  ShardedSystemOptions options;
+  options.system.store.memory_budget_bytes = 16 << 20;
+  options.system.store.k = 20;
+  options.system.store.policy = policy;
+  options.num_shards = 1;
+  ShardedMicroblogSystem system(options);
   system.Start();
 
   TweetGeneratorOptions stream;
@@ -61,7 +63,7 @@ void RunDashboard(PolicyKind policy) {
     for (const auto& [kw, count] : tag_counts) hot.push_back({count, kw});
     std::sort(hot.rbegin(), hot.rend());
 
-    const MicroblogStore* store = system.store();
+    const MicroblogStore* store = system.shard_store(0);
     std::printf(
         "tick %d | digested=%8llu | hot tags:", tick,
         static_cast<unsigned long long>(system.digested()));

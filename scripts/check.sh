@@ -15,7 +15,10 @@
 #                 (docs/INTERNALS.md, "Durability"). Forks the durable store,
 #                 kills it at every WAL/segment crash point plus a fixed seed
 #                 matrix of random points, and proves recovery loses no acked
-#                 record and answers queries identically.
+#                 record and answers queries identically. Then the CLI round
+#                 trip: `experiment --shards 2 --durable-dir D`, `recover
+#                 --shards 2` must report records, `recover --shards 1` must
+#                 fail, and D must hold no top-level wal.log.
 #   subs        - `ctest -L subs`: the continuous-query suite
 #                 (docs/INTERNALS.md, "Continuous queries") — the
 #                 standing-query differential oracle (seeded stream vs a
@@ -142,7 +145,31 @@ job_crash() {
   #   ctest --test-dir build -L crash -R <failing param>
   build default || return 1
   timeout "${STRESS_TIMEOUT}" ctest --test-dir build -L crash \
-      --output-on-failure
+      --output-on-failure || return 1
+  # CLI round trip: `recover` reads the per-shard layout `experiment`
+  # (and `serve`) write, and refuses a different shard count without
+  # creating anything.
+  note "crash: experiment --shards 2 -> recover --shards 2 / 1"
+  local dir out records
+  dir="$(mktemp -d)/durable"
+  ./build/tools/kflushctl experiment --shards 2 --durable-dir "${dir}" \
+      --memory-mb 1 --queries 100 --vocab 2000 --users 500 >/dev/null \
+      || return 1
+  out="$(./build/tools/kflushctl recover --durable-dir "${dir}" \
+      --shards 2)" || { echo "recover --shards 2 failed"; return 1; }
+  echo "${out}" | head -1
+  records="$(echo "${out}" | head -1 | sed -n 's/.*: \([0-9]*\) records$/\1/p')"
+  if [ -z "${records}" ] || [ "${records}" -le 0 ]; then
+    echo "recover --shards 2 recovered no records"; return 1
+  fi
+  if ./build/tools/kflushctl recover --durable-dir "${dir}" --shards 1 \
+      >/dev/null 2>&1; then
+    echo "recover --shards 1 opened a 2-shard directory"; return 1
+  fi
+  if [ -e "${dir}/wal.log" ]; then
+    echo "recover left a top-level wal.log in a sharded directory"; return 1
+  fi
+  rm -rf "$(dirname "${dir}")"
 }
 
 job_subs() {

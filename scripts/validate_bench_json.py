@@ -135,6 +135,12 @@ def check_snapshot(errors, where, snap):
                 errors.append(
                     f"{where}: no latency histogram for query type '{qtype}'")
 
+    # Unproven hits are memory hits whose answer also read disk.
+    if counters.get("query.unproven_hits", 0) > counters.get(
+            "query.memory_hits", 0):
+        errors.append(f"{where}: query.unproven_hits exceeds "
+                      "query.memory_hits")
+
     if "flush.cycle_micros" not in histograms:
         errors.append(f"{where}: missing histogram 'flush.cycle_micros'")
 

@@ -1,12 +1,13 @@
 #include "core/query_engine.h"
 
 #include <algorithm>
-
-#include "core/trace.h"
-#include "index/spatial_grid.h"
 #include <limits>
 #include <unordered_map>
 #include <unordered_set>
+
+#include "core/topk_merge.h"
+#include "core/trace.h"
+#include "index/spatial_grid.h"
 
 namespace kflush {
 
@@ -16,46 +17,72 @@ constexpr size_t kNoLimit = std::numeric_limits<size_t>::max();
 /// outnumbered this badly by same-tile outsiders stops re-querying and
 /// returns what it found.
 constexpr uint32_t kMaxAreaOverfetch = 32;
+
+/// True when no disk posting of `term` can outrank a memory result
+/// scoring `score`: the term has none on `store`'s disk, or its best one
+/// scores strictly lower (an equal score may carry a higher id).
+bool DiskCannotOutrank(MicroblogStore* store, TermId term, double score) {
+  double disk_max = 0.0;
+  return !store->disk()->MaxTermScore(term, &disk_max) || score > disk_max;
+}
 }  // namespace
 
-QueryEngine::QueryEngine(MicroblogStore* store)
-    : QueryEngineBase(store), store_(store) {
-  MetricsRegistry* registry = store_->metrics_registry();
+QueryEngine::Shard::Shard(MicroblogStore* s) : store(s) {
+  MetricsRegistry* registry = store->metrics_registry();
   static constexpr const char* kOutcome[2] = {"miss", "hit"};
   for (int t = 0; t < 3; ++t) {
     for (int o = 0; o < 2; ++o) {
-      latency_by_type_[t][o] = registry->histogram(
+      latency_by_type[t][o] = registry->histogram(
           QueryLatencySeries(static_cast<QueryType>(t), o == 1));
     }
   }
   for (int o = 0; o < 2; ++o) {
-    latency_spatial_[o] = registry->histogram(
+    latency_spatial[o] = registry->histogram(
         std::string("query.latency_micros.spatial.") + kOutcome[o]);
-    latency_user_[o] = registry->histogram(
+    latency_user[o] = registry->histogram(
         std::string("query.latency_micros.user.") + kOutcome[o]);
   }
-  queries_counter_ = registry->counter("query.executed");
-  hits_counter_ = registry->counter("query.memory_hits");
-  misses_counter_ = registry->counter("query.memory_misses");
-  disk_term_reads_counter_ = registry->counter("query.disk_term_reads");
+  queries = registry->counter("query.executed");
+  hits = registry->counter("query.memory_hits");
+  misses = registry->counter("query.memory_misses");
+  unproven_hits = registry->counter("query.unproven_hits");
+  disk_term_reads = registry->counter("query.disk_term_reads");
 }
 
-void QueryEngine::MemoryPostings(TermId term, size_t limit,
-                                 std::vector<Scored>* out) {
+QueryEngine::QueryEngine(MicroblogStore* store)
+    : QueryEngine(std::vector<MicroblogStore*>{store}) {}
+
+QueryEngine::QueryEngine(std::vector<MicroblogStore*> stores)
+    : router_(stores.size()) {
+  shards_.reserve(stores.size());
+  for (MicroblogStore* store : stores) shards_.emplace_back(store);
+}
+
+uint64_t QueryEngine::DiskTermQueries() const {
+  uint64_t total = 0;
+  for (const Shard& shard : shards_) {
+    total += shard.store->disk()->stats().term_queries;
+  }
+  return total;
+}
+
+void QueryEngine::MemoryPostings(MicroblogStore* store, TermId term,
+                                 size_t limit, std::vector<Scored>* out) {
   std::vector<MicroblogId> ids;
-  store_->policy()->QueryTerm(term, limit, &ids, /*record_access=*/true);
-  const RankingFunction* ranking = store_->ranking();
+  store->policy()->QueryTerm(term, limit, &ids, /*record_access=*/true);
+  const RankingFunction* ranking = store->ranking();
   for (MicroblogId id : ids) {
     // Recompute the arrival-time score from the record; a record flushed
     // between the index read and here is simply skipped (its posting is
     // already registered on disk).
-    store_->raw_store()->With(id, [&](const Microblog& blog) {
+    store->raw_store()->With(id, [&](const Microblog& blog) {
       out->push_back({ranking->Score(blog), id});
     });
   }
 }
 
 Status QueryEngine::Materialize(std::vector<Scored> candidates, uint32_t k,
+                                const std::vector<MicroblogStore*>& owners,
                                 QueryResult* result) {
   std::sort(candidates.begin(), candidates.end(),
             [](const Scored& a, const Scored& b) {
@@ -63,84 +90,152 @@ Status QueryEngine::Materialize(std::vector<Scored> candidates, uint32_t k,
               return a.id > b.id;
             });
   std::unordered_set<MicroblogId> seen;
-  std::vector<MicroblogId> memory_ids;
+  std::vector<std::vector<MicroblogId>> memory_ids(owners.size());
   for (const Scored& c : candidates) {
     if (result->results.size() >= k) break;
     if (!seen.insert(c.id).second) continue;
-    auto blog = store_->raw_store()->Get(c.id);
-    if (blog.has_value()) {
-      result->results.push_back(std::move(*blog));
-      memory_ids.push_back(c.id);
-      ++result->from_memory;
-      continue;
+    // A record carries every term it was routed under, so its copy lives
+    // on each owner that indexed it: resident there, or on that owner's
+    // disk once fully evicted from it.
+    bool found = false;
+    for (size_t i = 0; i < owners.size() && !found; ++i) {
+      auto blog = owners[i]->raw_store()->Get(c.id);
+      if (blog.has_value()) {
+        result->results.push_back(std::move(*blog));
+        memory_ids[i].push_back(c.id);
+        ++result->from_memory;
+        found = true;
+      }
     }
-    Microblog from_disk;
-    Status s = store_->disk()->GetRecord(c.id, &from_disk);
-    if (s.ok()) {
-      result->results.push_back(std::move(from_disk));
-      ++result->from_disk;
-    } else if (!s.IsNotFound()) {
-      return s;
+    for (size_t i = 0; i < owners.size() && !found; ++i) {
+      Microblog from_disk;
+      Status s = owners[i]->disk()->GetRecord(c.id, &from_disk);
+      if (s.ok()) {
+        result->results.push_back(std::move(from_disk));
+        ++result->from_disk;
+        found = true;
+      } else if (!s.IsNotFound()) {
+        return s;
+      }
     }
-    // NotFound: the record is in flight between memory and disk (flush
-    // buffer); skip it — the next candidate takes its place.
+    // Not found anywhere: the record is in flight between memory and disk
+    // (flush buffer); skip it — the next candidate takes its place.
   }
-  store_->policy()->OnResultAccess(memory_ids);
+  for (size_t i = 0; i < owners.size(); ++i) {
+    owners[i]->policy()->OnResultAccess(memory_ids[i]);
+  }
   return Status::OK();
 }
 
-Result<QueryResult> QueryEngine::ExecuteSingle(TermId term, uint32_t k,
-                                               bool force_disk) {
-  // Disk-read accounting lives in Execute(), as the delta of the disk
-  // store's own term_queries counter around the evaluation — the counter
-  // the disk tier actually increments, covering every path down here.
+Result<QueryResult> QueryEngine::EvaluateOnOwner(
+    MicroblogStore* store, const std::vector<TermId>& terms, uint32_t k,
+    bool force_disk, bool* unproven) {
   QueryResult result;
   std::vector<Scored> candidates;
-  MemoryPostings(term, k, &candidates);
-  result.memory_hit = candidates.size() >= k && !force_disk;
-  if (!result.memory_hit) {
+  std::vector<TermId> disk_terms;  // terms whose disk top-k joins the answer
+  bool all_k_filled = true;
+  bool needs_proof = false;
+  std::vector<Scored> mem;
+  for (TermId term : terms) {
+    mem.clear();
+    MemoryPostings(store, term, k, &mem);
+    if (mem.size() < k) {
+      all_k_filled = false;
+      disk_terms.push_back(term);
+    } else if (force_disk) {
+      disk_terms.push_back(term);
+    } else {
+      // The term's k-th memory posting must beat its best disk posting,
+      // or the disk may hold part of the term's top-k.
+      double kth = mem[0].score;
+      for (const Scored& s : mem) kth = std::min(kth, s.score);
+      if (!DiskCannotOutrank(store, term, kth)) {
+        needs_proof = true;
+        disk_terms.push_back(term);
+      }
+    }
+    candidates.insert(candidates.end(), mem.begin(), mem.end());
+  }
+  // OR hit rule (§IV-D): every term holds k in memory (single: the term).
+  result.memory_hit = all_k_filled && !force_disk;
+  *unproven = result.memory_hit && needs_proof;
+  for (TermId term : disk_terms) {
     std::vector<Posting> disk_postings;
-    KFLUSH_RETURN_IF_ERROR(
-        store_->disk()->QueryTerm(term, k, &disk_postings));
+    KFLUSH_RETURN_IF_ERROR(store->disk()->QueryTerm(term, k, &disk_postings));
     for (const Posting& p : disk_postings) {
       candidates.push_back({p.score, p.id});
     }
   }
-  KFLUSH_RETURN_IF_ERROR(Materialize(std::move(candidates), k, &result));
+  KFLUSH_RETURN_IF_ERROR(
+      Materialize(std::move(candidates), k, {store}, &result));
   return result;
 }
 
-Result<QueryResult> QueryEngine::ExecuteOr(const std::vector<TermId>& terms,
-                                           uint32_t k, bool force_disk) {
-  QueryResult result;
-  std::vector<Scored> candidates;
-  std::vector<TermId> short_terms;  // terms with < k in-memory postings
+Result<QueryResult> QueryEngine::EvaluateOr(const std::vector<TermId>& terms,
+                                            uint32_t k, bool force_disk,
+                                            bool* unproven) {
+  // Group terms by owning shard, preserving term order within a group and
+  // first-touch order across groups.
+  std::vector<std::vector<TermId>> groups(shards_.size());
+  std::vector<size_t> order;
   for (TermId term : terms) {
-    std::vector<Scored> mem;
-    MemoryPostings(term, k, &mem);
-    if (mem.size() < k) short_terms.push_back(term);
-    candidates.insert(candidates.end(), mem.begin(), mem.end());
+    const size_t owner = router_.ShardForTerm(term);
+    if (groups[owner].empty()) order.push_back(owner);
+    groups[owner].push_back(term);
   }
-  // OR hit rule (§IV-D): if every term holds k in memory, the union's
-  // top-k is guaranteed in memory.
-  result.memory_hit = short_terms.empty() && !force_disk;
-  if (!result.memory_hit) {
-    for (TermId term : force_disk ? terms : short_terms) {
-      std::vector<Posting> disk_postings;
-      KFLUSH_RETURN_IF_ERROR(
-          store_->disk()->QueryTerm(term, k, &disk_postings));
-      for (const Posting& p : disk_postings) {
-        candidates.push_back({p.score, p.id});
-      }
+  if (order.size() == 1) {
+    // All terms colocated: the owning shard's answer IS the answer.
+    return EvaluateOnOwner(shards_[order[0]].store, groups[order[0]], k,
+                           force_disk, unproven);
+  }
+
+  QueryResult merged;
+  merged.memory_hit = true;
+  bool group_unproven = false;
+  std::vector<std::vector<Microblog>> lists;
+  lists.reserve(order.size());
+  for (size_t owner : order) {
+    bool needs_proof = false;
+    Result<QueryResult> r = EvaluateOnOwner(shards_[owner].store,
+                                            groups[owner], k, force_disk,
+                                            &needs_proof);
+    if (!r.ok()) return r.status();
+    // The OR hit rule (every term holds >= k in memory) distributes over
+    // the partition: the query is a hit iff every group is.
+    merged.memory_hit = merged.memory_hit && r->memory_hit;
+    group_unproven = group_unproven || needs_proof;
+    merged.from_memory += r->from_memory;
+    merged.from_disk += r->from_disk;
+    lists.push_back(std::move(r->results));
+  }
+  *unproven = merged.memory_hit && group_unproven;
+
+  const RankingFunction* ranking = shards_[0].store->ranking();
+  merged.results = BoundedTopKMerge(
+      lists, k,
+      [&](const Microblog& a, const Microblog& b) {
+        const double sa = ranking->Score(a);
+        const double sb = ranking->Score(b);
+        if (sa != sb) return sa > sb;
+        return a.id > b.id;
+      },
+      [](const Microblog& a, const Microblog& b) { return a.id == b.id; });
+  return merged;
+}
+
+Result<QueryResult> QueryEngine::EvaluateAnd(const std::vector<TermId>& terms,
+                                             uint32_t k, bool force_disk,
+                                             bool* unproven) {
+  QueryResult result;
+  std::vector<MicroblogStore*> term_owner(terms.size());
+  std::vector<MicroblogStore*> owners;  // distinct, in term order
+  for (size_t i = 0; i < terms.size(); ++i) {
+    term_owner[i] = OwnerOf(terms[i]).store;
+    if (std::find(owners.begin(), owners.end(), term_owner[i]) ==
+        owners.end()) {
+      owners.push_back(term_owner[i]);
     }
   }
-  KFLUSH_RETURN_IF_ERROR(Materialize(std::move(candidates), k, &result));
-  return result;
-}
-
-Result<QueryResult> QueryEngine::ExecuteAnd(const std::vector<TermId>& terms,
-                                            uint32_t k, bool force_disk) {
-  QueryResult result;
   // Paper §IV-D: "we retrieve in-memory index entries of W1 and W2, scan
   // their microblog ids lists, and any microblog that is associated with
   // both W1 and W2 is added to Lm". "Associated with" is a property of
@@ -150,19 +245,19 @@ Result<QueryResult> QueryEngine::ExecuteAnd(const std::vector<TermId>& terms,
   // still qualifies.
   std::vector<std::vector<Scored>> lists(terms.size());
   for (size_t i = 0; i < terms.size(); ++i) {
-    MemoryPostings(terms[i], kNoLimit, &lists[i]);
+    MemoryPostings(term_owner[i], terms[i], kNoLimit, &lists[i]);
   }
-  const AttributeExtractor* extractor = store_->extractor();
   std::unordered_set<MicroblogId> considered;
   std::vector<Scored> intersection;
   std::vector<TermId> record_terms;
-  for (const auto& list : lists) {
-    for (const Scored& s : list) {
+  for (size_t i = 0; i < terms.size(); ++i) {
+    MicroblogStore* store = term_owner[i];
+    for (const Scored& s : lists[i]) {
       if (!considered.insert(s.id).second) continue;
       bool has_all = false;
-      store_->raw_store()->With(s.id, [&](const Microblog& blog) {
+      store->raw_store()->With(s.id, [&](const Microblog& blog) {
         record_terms.clear();
-        extractor->ExtractTerms(blog, &record_terms);
+        store->extractor()->ExtractTerms(blog, &record_terms);
         has_all = true;
         for (TermId t : terms) {
           if (std::find(record_terms.begin(), record_terms.end(), t) ==
@@ -178,97 +273,92 @@ Result<QueryResult> QueryEngine::ExecuteAnd(const std::vector<TermId>& terms,
   // AND hit rule: the in-memory candidate list already yields k results.
   result.memory_hit = intersection.size() >= k && !force_disk;
   if (result.memory_hit) {
-    KFLUSH_RETURN_IF_ERROR(
-        Materialize(std::move(intersection), k, &result));
-    return result;
+    // A qualifying record missing from every memory list has each of its
+    // postings on disk, so it scores at most the smallest per-term disk
+    // maximum; a term with no disk posting rules it out altogether.
+    std::vector<double> scores;
+    scores.reserve(intersection.size());
+    for (const Scored& s : intersection) scores.push_back(s.score);
+    std::nth_element(scores.begin(), scores.begin() + (k - 1), scores.end(),
+                     std::greater<double>());
+    const double kth = scores[k - 1];
+    bool proven = false;
+    for (size_t i = 0; i < terms.size() && !proven; ++i) {
+      proven = DiskCannotOutrank(term_owner[i], terms[i], kth);
+    }
+    if (proven) {
+      KFLUSH_RETURN_IF_ERROR(
+          Materialize(std::move(intersection), k, owners, &result));
+      return result;
+    }
+    *unproven = true;
   }
-  // Miss: rebuild each term's full list as memory ∪ disk, then intersect.
+  // Exact: each term's full list as memory ∪ disk, intersected.
   std::vector<std::unordered_map<MicroblogId, double>> full(terms.size());
   for (size_t i = 0; i < terms.size(); ++i) {
     for (const Scored& s : lists[i]) full[i].emplace(s.id, s.score);
     std::vector<Posting> disk_postings;
     KFLUSH_RETURN_IF_ERROR(
-        store_->disk()->QueryTerm(terms[i], kNoLimit, &disk_postings));
+        term_owner[i]->disk()->QueryTerm(terms[i], kNoLimit, &disk_postings));
     for (const Posting& p : disk_postings) full[i].emplace(p.id, p.score);
   }
   std::vector<Scored> candidates;
-  if (!full.empty()) {
-    for (const auto& [id, score] : full[0]) {
-      bool in_all = true;
-      for (size_t i = 1; i < full.size(); ++i) {
-        if (full[i].count(id) == 0) {
-          in_all = false;
-          break;
-        }
-      }
-      if (in_all) candidates.push_back({score, id});
+  for (const auto& [id, score] : full[0]) {
+    bool in_all = true;
+    for (size_t i = 1; i < full.size() && in_all; ++i) {
+      in_all = full[i].count(id) != 0;
     }
+    if (in_all) candidates.push_back({score, id});
   }
-  KFLUSH_RETURN_IF_ERROR(Materialize(std::move(candidates), k, &result));
+  KFLUSH_RETURN_IF_ERROR(
+      Materialize(std::move(candidates), k, owners, &result));
   return result;
 }
 
-Result<QueryResult> QueryEngineBase::Execute(const TopKQuery& query) {
+Result<QueryResult> QueryEngine::Execute(const TopKQuery& query) {
   if (query.terms.empty()) {
     return Status::InvalidArgument("query has no terms");
   }
-  // Resolved once here, so every sub-query of a fan-out sees the same k
-  // even if SetK churns mid-flight.
-  const uint32_t k = query.k != 0 ? query.k : terms_->k();
-  if (k == 0) return Status::InvalidArgument("k must be positive");
-  Stopwatch watch;
-  const uint64_t disk_reads_before = DiskTermQueries();
-  Result<QueryResult> result = Evaluate(query, k);
-  if (result.ok()) {
-    RecorderFor(query.terms[0])
-        ->Record(query.type, result->memory_hit,
-                 DiskTermQueries() - disk_reads_before, watch.ElapsedMicros());
+  if (query.type == QueryType::kSingle && query.terms.size() != 1) {
+    return Status::InvalidArgument("single query needs exactly 1 term");
   }
-  return result;
-}
+  // Resolved once here, so every shard visit sees the same k even if
+  // SetK churns mid-flight.
+  const uint32_t k = query.k != 0 ? query.k : shards_[0].store->k();
+  if (k == 0) return Status::InvalidArgument("k must be positive");
 
-Result<QueryResult> QueryEngine::Evaluate(const TopKQuery& query,
-                                          uint32_t k) {
   static const char* const kTypeName[] = {"single", "and", "or"};
   TraceSpan span("query", kTypeName[static_cast<int>(query.type)],
                  {TraceArg::Uint("terms", query.terms.size()),
-                  TraceArg::Uint("k", k)});
+                  TraceArg::Uint("k", k),
+                  TraceArg::Uint("shards", shards_.size())});
+  Stopwatch watch;
   const uint64_t disk_reads_before = DiskTermQueries();
-
-  Result<QueryResult> result = [&]() -> Result<QueryResult> {
-    switch (query.type) {
-      case QueryType::kSingle:
-        if (query.terms.size() != 1) {
-          return Status::InvalidArgument("single query needs exactly 1 term");
-        }
-        return ExecuteSingle(query.terms[0], k, query.force_disk);
-      case QueryType::kOr:
-        return ExecuteOr(query.terms, k, query.force_disk);
-      case QueryType::kAnd:
-        return ExecuteAnd(query.terms, k, query.force_disk);
-    }
-    return Status::InvalidArgument("unknown query type");
-  }();
-
-  if (result.ok()) {
-    span.End({TraceArg::Str("outcome", result->memory_hit ? "hit" : "miss"),
-              TraceArg::Uint("from_memory", result->from_memory),
-              TraceArg::Uint("from_disk", result->from_disk),
-              TraceArg::Uint("disk_term_reads",
-                             DiskTermQueries() - disk_reads_before)});
-  } else {
+  bool unproven = false;
+  Result<QueryResult> result =
+      query.type == QueryType::kAnd
+          ? EvaluateAnd(query.terms, k, query.force_disk, &unproven)
+          : EvaluateOr(query.terms, k, query.force_disk, &unproven);
+  if (!result.ok()) {
     span.End({TraceArg::Str("outcome", "error")});
+    return result;
   }
+  const uint64_t disk_reads = DiskTermQueries() - disk_reads_before;
+  const uint64_t micros = watch.ElapsedMicros();
+  Shard& recorder = OwnerOf(query.terms[0]);
+  const bool hit = result->memory_hit;
+  recorder.latency_by_type[static_cast<int>(query.type)][hit ? 1 : 0]->Record(
+      micros);
+  recorder.queries->Increment();
+  (hit ? recorder.hits : recorder.misses)->Increment();
+  if (unproven) recorder.unproven_hits->Increment();
+  recorder.disk_term_reads->Add(disk_reads);
+  span.End({TraceArg::Str("outcome", hit ? "hit" : "miss"),
+            TraceArg::Uint("unproven", unproven ? 1 : 0),
+            TraceArg::Uint("from_memory", result->from_memory),
+            TraceArg::Uint("from_disk", result->from_disk),
+            TraceArg::Uint("disk_term_reads", disk_reads)});
   return result;
-}
-
-void QueryEngine::Record(QueryType type, bool memory_hit,
-                         uint64_t disk_term_reads, uint64_t latency_micros) {
-  latency_by_type_[static_cast<int>(type)][memory_hit ? 1 : 0]->Record(
-      latency_micros);
-  queries_counter_->Increment();
-  (memory_hit ? hits_counter_ : misses_counter_)->Increment();
-  disk_term_reads_counter_->Add(disk_term_reads);
 }
 
 Result<QueryResult> QueryEngine::SearchKeywords(
@@ -277,25 +367,25 @@ Result<QueryResult> QueryEngine::SearchKeywords(
   query.type = keywords.size() == 1 ? QueryType::kSingle : type;
   query.k = k;
   for (const std::string& kw : keywords) {
-    query.terms.push_back(store_->TermForKeyword(kw));
+    query.terms.push_back(shards_[0].store->TermForKeyword(kw));
   }
   return Execute(query);
 }
 
-void QueryEngineBase::RecordSurface(TermId term, bool spatial,
-                                    bool memory_hit, uint64_t micros) {
-  QueryEngine* recorder = RecorderFor(term);
-  (spatial ? recorder->latency_spatial_
-           : recorder->latency_user_)[memory_hit ? 1 : 0]
+void QueryEngine::RecordSurface(TermId term, bool spatial, bool memory_hit,
+                                uint64_t micros) {
+  Shard& recorder = OwnerOf(term);
+  (spatial ? recorder.latency_spatial
+           : recorder.latency_user)[memory_hit ? 1 : 0]
       ->Record(micros);
 }
 
-Result<QueryResult> QueryEngineBase::SearchLocation(double lat, double lon,
-                                                    uint32_t k) {
+Result<QueryResult> QueryEngine::SearchLocation(double lat, double lon,
+                                                uint32_t k) {
   TopKQuery query;
   query.type = QueryType::kSingle;
   query.k = k;
-  query.terms.push_back(terms_->TermForLocation(lat, lon));
+  query.terms.push_back(shards_[0].store->TermForLocation(lat, lon));
   Stopwatch watch;
   Result<QueryResult> result = Execute(query);
   if (result.ok()) {
@@ -305,12 +395,12 @@ Result<QueryResult> QueryEngineBase::SearchLocation(double lat, double lon,
   return result;
 }
 
-Result<QueryResult> QueryEngineBase::SearchArea(double min_lat, double min_lon,
-                                                double max_lat, double max_lon,
-                                                uint32_t k, size_t max_tiles,
-                                                bool force_disk) {
+Result<QueryResult> QueryEngine::SearchArea(double min_lat, double min_lon,
+                                            double max_lat, double max_lon,
+                                            uint32_t k, size_t max_tiles,
+                                            bool force_disk) {
   const auto* spatial =
-      dynamic_cast<const SpatialAttribute*>(terms_->extractor());
+      dynamic_cast<const SpatialAttribute*>(shards_[0].store->extractor());
   if (spatial == nullptr) {
     return Status::InvalidArgument("store is not spatially indexed");
   }
@@ -328,7 +418,7 @@ Result<QueryResult> QueryEngineBase::SearchArea(double min_lat, double min_lon,
   query.terms = std::move(tiles);
   query.type = query.terms.size() == 1 ? QueryType::kSingle : QueryType::kOr;
   query.force_disk = force_disk;
-  const uint32_t want = k != 0 ? k : terms_->k();
+  const uint32_t want = k != 0 ? k : shards_[0].store->k();
   // Records in boundary tiles that fall outside the box are dropped after
   // top-k materialization (after the cross-shard merge, when sharded),
   // which can under-fill the answer even when k matching records exist.
@@ -361,11 +451,11 @@ Result<QueryResult> QueryEngineBase::SearchArea(double min_lat, double min_lon,
   }
 }
 
-Result<QueryResult> QueryEngineBase::SearchUser(UserId user, uint32_t k) {
+Result<QueryResult> QueryEngine::SearchUser(UserId user, uint32_t k) {
   TopKQuery query;
   query.type = QueryType::kSingle;
   query.k = k;
-  query.terms.push_back(terms_->TermForUser(user));
+  query.terms.push_back(shards_[0].store->TermForUser(user));
   Stopwatch watch;
   Result<QueryResult> result = Execute(query);
   if (result.ok()) {

@@ -1,15 +1,37 @@
-// The top-k query engine (paper §II-B, §IV-D). Evaluates basic search
-// queries — single-term, multi-term AND, multi-term OR — against in-memory
-// contents first; when fewer than k results can be guaranteed from memory
-// the query is a MISS and the disk tier is consulted to complete the
-// answer. Hit predicates follow the paper:
+// The top-k query engine (paper §II-B, §IV-D) over a term-partitioned
+// deployment: every term's postings — in memory and on disk — live wholly
+// on the shard ShardRouter assigns it, and one store is the case N = 1.
+// A query is evaluated against in-memory contents first; when memory
+// cannot be shown to hold the top-k, the disk tier completes the answer.
+//
+// Hit rules (`memory_hit`, the paper's metric):
 //
 //   single : the term holds >= k in-memory postings.
 //   OR     : every queried term holds >= k in-memory postings (then the
-//            union's top-k is provably in memory, §IV-D).
-//   AND    : the in-memory lists' intersection yields >= k results (the
-//            paper's operational rule; kFlushing-MK exists to make this
-//            succeed more often).
+//            union's top-k is in memory, §IV-D).
+//   AND    : >= k records appear in some query term's in-memory list and
+//            carry every query term (the paper's record-based rule;
+//            kFlushing-MK exists to make this succeed more often).
+//
+// Memory answers alone only when it provably holds the top-k: its k-th
+// result must outrank every disk posting it could have missed
+// (DiskStore::MaxTermScore). A hit that fails the check stays a hit — the
+// rule above is the metric — but its answer merges the disk tier like a
+// miss, and it is counted in query.unproven_hits. Every answer is
+// therefore the exact top-k in (score desc, id desc) order, at every
+// shard count.
+//
+// How a query runs:
+//
+//   single : on the term's owner.
+//   OR     : terms group by owner; each group is answered on its store,
+//            and two or more group answers k-way-merge (BoundedTopKMerge).
+//   AND    : each term's in-memory list is read on its owner; a miss (or
+//            an unproven hit) intersects each term's memory ∪ disk list.
+//
+// Each query is recorded once — type, memory hit, disk term reads,
+// latency — in the query.* series of the registry of its first term's
+// owner, so the aggregated series count queries, not shard visits.
 
 #ifndef KFLUSH_CORE_QUERY_ENGINE_H_
 #define KFLUSH_CORE_QUERY_ENGINE_H_
@@ -18,6 +40,7 @@
 #include <vector>
 
 #include "core/metrics.h"
+#include "core/shard_router.h"
 #include "core/store.h"
 
 namespace kflush {
@@ -29,12 +52,8 @@ struct TopKQuery {
   /// 0 = use the store's current k.
   uint32_t k = 0;
   /// Treat every term as a MISS: consult the disk tier even when the
-  /// memory-hit predicate holds, making the answer the exact top-k over
-  /// the full posting set under every policy. The continuous-query layer
-  /// sets this on snapshot/refill queries — under LRU (whole-record
-  /// eviction by access recency) a term's memory postings need not be a
-  /// score-prefix of memory ∪ disk, so only the merged answer is
-  /// guaranteed exact. Counted as a miss in the hit-ratio metrics.
+  /// memory-hit predicate holds. The continuous-query layer sets this on
+  /// snapshot/refill queries. Counted as a miss in the hit-ratio metrics.
   bool force_disk = false;
 };
 
@@ -42,28 +61,33 @@ struct TopKQuery {
 struct QueryResult {
   /// Final answer, best-ranked first, at most k records.
   std::vector<Microblog> results;
-  /// True iff the answer was served entirely from memory.
+  /// True iff the paper's hit rule held (see the file comment).
   bool memory_hit = false;
   size_t from_memory = 0;
   size_t from_disk = 0;
 };
 
-class QueryEngine;
-
-/// What both engines share: Execute, and the spatial and user searches
-/// written once over it. Execute records exactly one query — type, memory
-/// hit, disk term reads, latency — in the query.* series of one store's
-/// registry: the store that owns the query's first term (the only store,
-/// unsharded). SearchLocation/SearchArea/SearchUser also time the whole
-/// call into that registry's query.latency_micros.<spatial|user>.*.
-class QueryEngineBase {
+/// Evaluates queries against a deployment's shard stores. Thread-safe;
+/// many engines may share the stores (all record into their registries),
+/// or one engine may serve many threads. Shards are visited one at a time.
+class QueryEngine {
  public:
-  virtual ~QueryEngineBase() = default;
-  QueryEngineBase(const QueryEngineBase&) = delete;
-  QueryEngineBase& operator=(const QueryEngineBase&) = delete;
+  /// One store (N = 1).
+  explicit QueryEngine(MicroblogStore* store);
+  /// `stores[i]` is shard i under ShardRouter(stores.size()). The shards
+  /// share the attribute, its term space, and k.
+  explicit QueryEngine(std::vector<MicroblogStore*> stores);
+
+  QueryEngine(const QueryEngine&) = delete;
+  QueryEngine& operator=(const QueryEngine&) = delete;
 
   /// Evaluates `query`, materializing result records.
   Result<QueryResult> Execute(const TopKQuery& query);
+
+  /// Convenience: keyword search from strings (keyword attribute only).
+  /// Unknown keywords become absent terms (guaranteed miss path).
+  Result<QueryResult> SearchKeywords(const std::vector<std::string>& keywords,
+                                     QueryType type, uint32_t k = 0);
 
   /// Convenience: "find top-k posted at this location" (spatial attribute).
   Result<QueryResult> SearchLocation(double lat, double lon, uint32_t k = 0);
@@ -80,93 +104,72 @@ class QueryEngineBase {
   /// Convenience: user-timeline search (user attribute).
   Result<QueryResult> SearchUser(UserId user, uint32_t k = 0);
 
- protected:
-  /// `terms` is any store of the deployment: shards share the attribute,
-  /// its term space, and k, which is all the searches read from it.
-  explicit QueryEngineBase(const MicroblogStore* terms) : terms_(terms) {}
-
-  /// Execute without recording; `query` has terms and `k` is resolved.
-  virtual Result<QueryResult> Evaluate(const TopKQuery& query,
-                                       uint32_t k) = 0;
-  /// Disk term queries issued so far by the stores this engine reads.
-  virtual uint64_t DiskTermQueries() const = 0;
-  /// The per-store engine whose registry records a query led by `term`.
-  virtual QueryEngine* RecorderFor(TermId term) = 0;
+  size_t num_shards() const { return shards_.size(); }
+  MicroblogStore* store(size_t shard) const { return shards_[shard].store; }
 
  private:
-  /// Records one end-to-end surface sample in RecorderFor(`term`)'s
-  /// spatial or user histogram pair.
-  void RecordSurface(TermId term, bool spatial, bool memory_hit,
-                     uint64_t micros);
-
-  const MicroblogStore* terms_;
-};
-
-/// Evaluates queries against one MicroblogStore. Thread-safe; many engine
-/// instances may share a store (all record into its registry), or one
-/// engine may serve many threads.
-class QueryEngine : public QueryEngineBase {
- public:
-  explicit QueryEngine(MicroblogStore* store);
-
-  MicroblogStore* store() const { return store_; }
-
-  /// Convenience: keyword search from strings (keyword attribute only).
-  /// Unknown keywords become absent terms (guaranteed miss path).
-  Result<QueryResult> SearchKeywords(const std::vector<std::string>& keywords,
-                                     QueryType type, uint32_t k = 0);
-
- private:
-  // Execute records through Record; the fan-out engine evaluates its
-  // sub-queries here unrecorded.
-  friend class QueryEngineBase;
-  friend class ShardedQueryEngine;
-
-  Result<QueryResult> Evaluate(const TopKQuery& query, uint32_t k) override;
-  uint64_t DiskTermQueries() const override {
-    return store_->disk()->stats().term_queries;
-  }
-  QueryEngine* RecorderFor(TermId) override { return this; }
-
   struct Scored {
     double score;
     MicroblogId id;
   };
 
-  /// Records one query in this store's query.* series.
-  void Record(QueryType type, bool memory_hit, uint64_t disk_term_reads,
-              uint64_t latency_micros);
+  /// One shard store and its query.* instruments (get-or-create, resolved
+  /// once; valid for the store's lifetime). Latency histograms split by
+  /// query type and hit outcome; the spatial/user surface histograms time
+  /// the whole convenience call (SearchArea's over-fetch loop runs
+  /// Execute several times, each recorded as a query, while the surface
+  /// histogram sees one end-to-end sample).
+  struct Shard {
+    explicit Shard(MicroblogStore* store);
 
-  Result<QueryResult> ExecuteSingle(TermId term, uint32_t k, bool force_disk);
-  Result<QueryResult> ExecuteOr(const std::vector<TermId>& terms, uint32_t k,
-                                bool force_disk);
-  Result<QueryResult> ExecuteAnd(const std::vector<TermId>& terms, uint32_t k,
-                                 bool force_disk);
+    MicroblogStore* store;
+    ConcurrentHistogram* latency_by_type[3][2];
+    ConcurrentHistogram* latency_spatial[2];
+    ConcurrentHistogram* latency_user[2];
+    Counter* queries;
+    Counter* hits;
+    Counter* misses;
+    Counter* unproven_hits;
+    Counter* disk_term_reads;
+  };
 
-  /// Fetches term postings from memory as (score, id); scores recomputed
-  /// through the ranking function.
-  void MemoryPostings(TermId term, size_t limit, std::vector<Scored>* out);
+  Shard& OwnerOf(TermId term) { return shards_[router_.ShardForTerm(term)]; }
 
-  /// Merges memory + disk candidates (sorted desc, deduped) into the final
-  /// top-k and materializes records from the raw store or disk.
-  Status Materialize(std::vector<Scored> candidates, uint32_t k,
-                     QueryResult* result);
+  /// Disk term queries issued so far by every shard's disk tier (the
+  /// delta around a query is its disk-read cost; exact when queries don't
+  /// race, advisory under concurrency).
+  uint64_t DiskTermQueries() const;
 
-  MicroblogStore* store_;
+  /// Single and OR. Sets `*unproven` on a hit whose answer needed disk.
+  Result<QueryResult> EvaluateOr(const std::vector<TermId>& terms, uint32_t k,
+                                 bool force_disk, bool* unproven);
+  /// The OR of `terms`, all owned by `store`.
+  Result<QueryResult> EvaluateOnOwner(MicroblogStore* store,
+                                      const std::vector<TermId>& terms,
+                                      uint32_t k, bool force_disk,
+                                      bool* unproven);
+  Result<QueryResult> EvaluateAnd(const std::vector<TermId>& terms, uint32_t k,
+                                  bool force_disk, bool* unproven);
 
-  // Registry instruments, resolved once in the constructor (get-or-create;
-  // pointers stay valid for the store's lifetime). Latency histograms are
-  // split by query type and memory-hit outcome; the spatial/user surface
-  // histograms time the whole convenience call (SearchArea's over-fetch
-  // loop runs Execute several times, each recorded as a query, while the
-  // surface histogram sees one end-to-end sample).
-  ConcurrentHistogram* latency_by_type_[3][2];
-  ConcurrentHistogram* latency_spatial_[2];
-  ConcurrentHistogram* latency_user_[2];
-  Counter* queries_counter_;
-  Counter* hits_counter_;
-  Counter* misses_counter_;
-  Counter* disk_term_reads_counter_;
+  /// Fetches term postings from `store`'s memory as (score, id); scores
+  /// recomputed through the ranking function.
+  static void MemoryPostings(MicroblogStore* store, TermId term, size_t limit,
+                             std::vector<Scored>* out);
+
+  /// Sorts `candidates` (score desc, id desc), dedups, and materializes
+  /// the top k from the first of `owners` whose raw store, else disk,
+  /// holds each record.
+  static Status Materialize(std::vector<Scored> candidates, uint32_t k,
+                            const std::vector<MicroblogStore*>& owners,
+                            QueryResult* result);
+
+  /// Records one end-to-end surface sample in the spatial or user
+  /// histogram pair of `term`'s owner.
+  void RecordSurface(TermId term, bool spatial, bool memory_hit,
+                     uint64_t micros);
+
+  std::vector<Shard> shards_;
+  ShardRouter router_;
 };
 
 }  // namespace kflush

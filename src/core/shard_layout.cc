@@ -1,6 +1,10 @@
 #include "core/shard_layout.h"
 
+#include <filesystem>
+#include <set>
 #include <string>
+
+#include "util/logging.h"
 
 namespace kflush {
 
@@ -14,6 +18,50 @@ StoreOptions ShardStoreOptions(const StoreOptions& deployment,
                         std::to_string(shard);
   }
   return so;
+}
+
+Status OpenShardLayout(StoreOptions* deployment, size_t num_shards) {
+  if (!deployment->durability.enabled) return Status::OK();
+  namespace fs = std::filesystem;
+  const std::string& dir = deployment->durability.dir;
+  std::error_code ec;
+  if (!fs::is_directory(dir, ec) || fs::is_empty(dir, ec)) {
+    return Status::OK();
+  }
+  std::set<size_t> found;
+  bool single_store_wal = false;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
+    const std::string name = entry.path().filename().string();
+    if (name == "wal.log") single_store_wal = true;
+    const std::string digits =
+        name.rfind("shard-", 0) == 0 ? name.substr(6) : std::string();
+    if (!digits.empty() && digits.size() <= 9 &&
+        digits.find_first_not_of("0123456789") == std::string::npos &&
+        entry.is_directory(ec)) {
+      found.insert(std::stoul(digits));
+    }
+  }
+  Status status = Status::OK();
+  if (single_store_wal) {
+    status = Status::InvalidArgument(
+        "durable directory " + dir +
+        " holds a single-store WAL (1 shard, unsharded layout); opened with " +
+        std::to_string(num_shards) + " shard(s)");
+  } else if (found.size() != num_shards ||
+             *found.rbegin() != num_shards - 1) {
+    status = Status::InvalidArgument(
+        "durable directory " + dir + " holds " +
+        std::to_string(found.size()) +
+        " shard director" + (found.size() == 1 ? "y" : "ies") +
+        "; opened with " + std::to_string(num_shards) +
+        " shard(s) (reopen with the shard count that wrote it)");
+  }
+  if (!status.ok()) {
+    KFLUSH_WARN("durable tier unavailable, running non-durable: "
+                << status.ToString());
+    deployment->durability.enabled = false;
+  }
+  return status;
 }
 
 IngestRouter::IngestRouter(const StoreOptions& deployment, size_t num_shards)

@@ -24,6 +24,17 @@ namespace kflush {
 StoreOptions ShardStoreOptions(const StoreOptions& deployment,
                                size_t num_shards, size_t shard);
 
+/// A durable directory opens only at the shard count that wrote it:
+/// ShardRouter placement depends on N, so a 2-shard directory reopened at
+/// 4 shards would route recovered terms to shards that hold nothing.
+/// Checks `deployment`'s durable directory before any shard store opens
+/// it. A missing or empty directory passes, and so does one holding
+/// exactly shard-0 … shard-(num_shards-1) and no top-level single-store
+/// WAL. On failure durability is switched off in `*deployment`, so the
+/// shards create nothing and run non-durably, and the returned status
+/// names both shard counts.
+Status OpenShardLayout(StoreOptions* deployment, size_t num_shards);
+
 /// One record's terms grouped by owning shard. Reused across records, so
 /// routing allocates nothing once the buffers have grown (a caller that
 /// moves an `owned` list out regrows it).

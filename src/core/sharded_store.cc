@@ -8,21 +8,20 @@ namespace kflush {
 ShardedMicroblogStore::ShardedMicroblogStore(ShardedStoreOptions options)
     : options_(options), routing_(options.store, options.num_shards) {
   const size_t n = routing_.router().num_shards();
+  layout_status_ = OpenShardLayout(&options_.store, n);
   shards_.reserve(n);
-  engines_.reserve(n);
-  std::vector<QueryEngine*> targets;
-  targets.reserve(n);
+  std::vector<MicroblogStore*> stores;
   for (size_t i = 0; i < n; ++i) {
     shards_.push_back(std::make_unique<MicroblogStore>(
         ShardStoreOptions(options_.store, n, i)));
     routing_.ResumePast(*shards_.back());
-    engines_.push_back(std::make_unique<QueryEngine>(shards_.back().get()));
-    targets.push_back(engines_.back().get());
+    stores.push_back(shards_.back().get());
   }
-  engine_ = std::make_unique<ShardedQueryEngine>(std::move(targets));
+  engine_ = std::make_unique<QueryEngine>(std::move(stores));
 }
 
 Status ShardedMicroblogStore::DurabilityStatus() const {
+  if (!layout_status_.ok()) return layout_status_;
   for (const auto& shard : shards_) {
     const Status& s = shard->durability_status();
     if (!s.ok()) return s;

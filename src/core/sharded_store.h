@@ -1,14 +1,13 @@
 // ShardedMicroblogStore: N MicroblogStore shards behind one ingest/query
-// facade, partitioned by term (ShardRouter). Each shard owns a slice of
-// the memory budget, its own policy-owned index, raw-store segment view,
-// flush buffer, and disk tier, so flush cycles on different shards share
-// no locks and run independently. The facade stamps ids and timestamps
-// centrally BEFORE routing — a record carrying terms owned by several
-// shards is copied to each, and the copies must be byte-identical for the
-// differential oracle's "same answers at any shard count" contract to be
-// checkable bytewise. Synchronous (per-shard inline auto-flush) and, like
-// MicroblogStore, deterministic under a SimClock: this is the deployment
-// the oracle and the sharded experiment path drive. The threaded
+// facade, partitioned by term (ShardRouter); one shard is the single
+// node. Each shard owns a slice of the memory budget, its own
+// policy-owned index, raw-store segment view, flush buffer, and disk
+// tier, so flush cycles on different shards share no locks and run
+// independently. The facade stamps ids and timestamps centrally BEFORE
+// routing — a record carrying terms owned by several shards is copied to
+// each, and the copies must be byte-identical. Synchronous (per-shard
+// inline auto-flush) and deterministic under a SimClock: this is the
+// deployment the experiments and the oracles drive. The threaded
 // deployment with per-shard digestion/flusher threads is
 // ShardedMicroblogSystem.
 
@@ -20,7 +19,7 @@
 #include <vector>
 
 #include "core/shard_layout.h"
-#include "core/sharded_query_engine.h"
+#include "core/query_engine.h"
 #include "core/store.h"
 
 namespace kflush {
@@ -63,7 +62,9 @@ class ShardedMicroblogStore {
   /// One flush cycle on every over-budget shard; returns bytes freed.
   size_t FlushAllOnce();
 
-  /// First non-OK shard durability status (OK with durability disabled).
+  /// The shard-layout check's failure (OpenShardLayout; the shards then
+  /// run non-durably), else the first non-OK shard durability status (OK
+  /// with durability disabled).
   Status DurabilityStatus() const;
 
   /// Group-commit barrier on every shard WAL.
@@ -75,9 +76,8 @@ class ShardedMicroblogStore {
   size_t num_shards() const { return shards_.size(); }
   MicroblogStore* shard(size_t i) { return shards_[i].get(); }
   const MicroblogStore* shard(size_t i) const { return shards_[i].get(); }
-  QueryEngine* shard_engine(size_t i) { return engines_[i].get(); }
   const ShardRouter& router() const { return routing_.router(); }
-  ShardedQueryEngine* engine() { return engine_.get(); }
+  QueryEngine* engine() { return engine_.get(); }
   const ShardedStoreOptions& options() const { return options_; }
 
   ShardedIngestStats sharded_ingest_stats() const;
@@ -99,9 +99,9 @@ class ShardedMicroblogStore {
  private:
   ShardedStoreOptions options_;
   IngestRouter routing_;
+  Status layout_status_;
   std::vector<std::unique_ptr<MicroblogStore>> shards_;
-  std::vector<std::unique_ptr<QueryEngine>> engines_;
-  std::unique_ptr<ShardedQueryEngine> engine_;
+  std::unique_ptr<QueryEngine> engine_;
 
   std::atomic<uint64_t> submitted_{0};
   std::atomic<uint64_t> routed_copies_{0};

@@ -10,20 +10,21 @@ namespace kflush {
 ShardedMicroblogSystem::ShardedMicroblogSystem(ShardedSystemOptions options)
     : options_(options), routing_(options.system.store, options.num_shards) {
   const size_t n = routing_.router().num_shards();
+  layout_status_ = OpenShardLayout(&options_.system.store, n);
   systems_.reserve(n);
-  std::vector<QueryEngine*> targets;
-  targets.reserve(n);
+  std::vector<MicroblogStore*> stores;
   for (size_t i = 0; i < n; ++i) {
     SystemOptions so = options_.system;
     so.store = ShardStoreOptions(options_.system.store, n, i);
     systems_.push_back(std::make_unique<MicroblogSystem>(so));
     routing_.ResumePast(*systems_.back()->store());
-    targets.push_back(systems_.back()->engine());
+    stores.push_back(systems_.back()->store());
   }
-  engine_ = std::make_unique<ShardedQueryEngine>(std::move(targets));
+  engine_ = std::make_unique<QueryEngine>(std::move(stores));
 }
 
 Status ShardedMicroblogSystem::DurabilityStatus() const {
+  if (!layout_status_.ok()) return layout_status_;
   for (const auto& system : systems_) {
     const Status& s = system->store()->durability_status();
     if (!s.ok()) return s;

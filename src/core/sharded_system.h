@@ -1,12 +1,12 @@
-// ShardedMicroblogSystem: the threaded sharded deployment — N full
-// MicroblogSystem instances (each with its own bounded ingest queue,
+// ShardedMicroblogSystem: the threaded deployment (paper Figure 2) — N
+// MicroblogSystem shard units (each with its own bounded ingest queue,
 // digestion thread, and background flusher), fed by a routing Submit()
 // that stamps records centrally and splits each producer batch into
-// per-shard routed sub-batches. Flush cycles run concurrently on
-// independent shard locks (each shard's flusher drives only its own
-// store); queries fan out through a ShardedQueryEngine over the shard
-// stores. This is the assembly bench_shard_scaling measures and the TSan
-// shard stress test hammers.
+// per-shard routed sub-batches; one shard is the single node. Flush
+// cycles run concurrently on independent shard locks (each shard's
+// flusher drives only its own store); queries run on one QueryEngine
+// over the shard stores. The network front-end, the digestion-rate
+// experiment (Figure 10(b)) and bench_shard_scaling drive this assembly.
 
 #ifndef KFLUSH_CORE_SHARDED_SYSTEM_H_
 #define KFLUSH_CORE_SHARDED_SYSTEM_H_
@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "core/shard_layout.h"
-#include "core/sharded_query_engine.h"
+#include "core/query_engine.h"
 #include "core/system.h"
 
 namespace kflush {
@@ -89,13 +89,14 @@ class ShardedMicroblogSystem {
   /// Changes k on every shard.
   void SetK(uint32_t k);
 
-  /// First non-OK shard durability status (OK with durability disabled).
+  /// The shard-layout check's failure (OpenShardLayout; the shards then
+  /// run non-durably), else the first non-OK shard durability status (OK
+  /// with durability disabled).
   Status DurabilityStatus() const;
 
   size_t num_shards() const { return systems_.size(); }
-  MicroblogSystem* shard_system(size_t i) { return systems_[i].get(); }
   MicroblogStore* shard_store(size_t i) { return systems_[i]->store(); }
-  ShardedQueryEngine* engine() { return engine_.get(); }
+  QueryEngine* engine() { return engine_.get(); }
   const ShardRouter& router() const { return routing_.router(); }
 
   /// Records in admitted batches (including term-less records that were
@@ -136,8 +137,9 @@ class ShardedMicroblogSystem {
 
   ShardedSystemOptions options_;
   IngestRouter routing_;
+  Status layout_status_;
   std::vector<std::unique_ptr<MicroblogSystem>> systems_;
-  std::unique_ptr<ShardedQueryEngine> engine_;
+  std::unique_ptr<QueryEngine> engine_;
 
   // Stop() handshake: new submits are refused once stopping_ is set, and
   // shard teardown waits for in-flight submits to unwind (their blocked

@@ -69,6 +69,11 @@ MicroblogStore::MicroblogStore(StoreOptions options)
       wal_.reset();
     }
   }
+  // Write-ahead: a crash must never leave a flushed record in a sealed
+  // segment while an older record, still memory-resident, is lost with
+  // the WAL's unsynced tail — recovery would return a hole in the stream
+  // instead of a prefix of it.
+  flush_buffer_.set_wal(wal_.get());
 
   metrics_.AddProvider(
       [this](MetricsSnapshot* snap) { ExportComponentMetrics(snap); });

@@ -27,7 +27,6 @@ MicroblogSystem::MicroblogSystem(SystemOptions options)
         so.auto_flush = false;
         return std::make_unique<MicroblogStore>(so);
       }()),
-      engine_(store_.get()),
       queue_(options_.ingest_queue_capacity) {
   MetricsRegistry* registry = store_->metrics_registry();
   queue_depth_gauge_ = registry->gauge("system.queue_depth");
@@ -74,14 +73,8 @@ void MicroblogSystem::Stop() {
   if (flusher_thread_.joinable()) flusher_thread_.join();
 }
 
-bool MicroblogSystem::Submit(std::vector<Microblog> batch) {
-  IngestBatch routed;
-  routed.blogs = std::move(batch);
-  return SubmitRouted(std::move(routed));
-}
-
-bool MicroblogSystem::SubmitRouted(IngestBatch batch) {
-  const bool accepted = queue_.Push(std::move(batch));
+bool MicroblogSystem::SubmitReservedRouted(IngestBatch batch) {
+  const bool accepted = queue_.PushReserved(std::move(batch));
   if (accepted) {
     batches_submitted_->Increment();
     // Delta, not Set(size()): producer and consumer publish concurrently,
@@ -92,19 +85,6 @@ bool MicroblogSystem::SubmitRouted(IngestBatch batch) {
     queue_depth_gauge_->Add(1);
   }
   return accepted;
-}
-
-bool MicroblogSystem::SubmitReservedRouted(IngestBatch batch) {
-  const bool accepted = queue_.PushReserved(std::move(batch));
-  if (accepted) {
-    batches_submitted_->Increment();
-    queue_depth_gauge_->Add(1);
-  }
-  return accepted;
-}
-
-Result<QueryResult> MicroblogSystem::Query(const TopKQuery& query) {
-  return engine_.Execute(query);
 }
 
 void MicroblogSystem::DigestionLoop() {
@@ -132,12 +112,9 @@ void MicroblogSystem::DigestionLoop() {
     }
     Stopwatch watch;
     CpuStopwatch cpu_watch;
-    const bool routed = !batch->routed_terms.empty();
     for (size_t i = 0; i < batch->blogs.size(); ++i) {
-      Microblog& blog = batch->blogs[i];
-      Status s = routed ? store_->InsertRouted(std::move(blog),
-                                               batch->routed_terms[i])
-                        : store_->Insert(std::move(blog));
+      Status s = store_->InsertRouted(std::move(batch->blogs[i]),
+                                      batch->routed_terms[i]);
       if (!s.ok()) {
         KFLUSH_WARN("insert failed: " << s.ToString());
       }

@@ -1,11 +1,11 @@
-// MicroblogSystem: the full threaded deployment of Figure 2. Producers
-// push microblog batches into a bounded queue; one digestion thread drains
-// it into the store in real time; a background flusher thread wakes when
-// memory fills and runs the policy's flush cycle concurrently with
-// digestion (paper §III: flushing phases run "in a separate thread so that
-// [they do] not noticeably interrupt the continuous digestion of incoming
-// data"); query threads call Query() at any time. The digestion-rate
-// experiment (Figure 10(b)) measures this assembly under stress.
+// MicroblogSystem: one shard of the threaded deployment of Figure 2 (the
+// public facade is ShardedMicroblogSystem; one shard is the single node).
+// The router pushes routed sub-batches into a bounded queue; one digestion
+// thread drains it into the shard's store in real time; a background
+// flusher thread wakes when memory fills and runs the policy's flush
+// cycle concurrently with digestion (paper §III: flushing phases run "in
+// a separate thread so that [they do] not noticeably interrupt the
+// continuous digestion of incoming data").
 
 #ifndef KFLUSH_CORE_SYSTEM_H_
 #define KFLUSH_CORE_SYSTEM_H_
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "core/metrics_registry.h"
-#include "core/query_engine.h"
 #include "core/store.h"
 #include "util/thread_util.h"
 
@@ -65,22 +64,21 @@ struct IngestTicket {
   }
 };
 
-/// A queued unit of ingest work. `routed_terms`, when non-empty, carries
-/// each record's pre-routed term subset (parallel to `blogs`) and
-/// digestion uses InsertRouted instead of re-extracting — this is how a
-/// shard of ShardedMicroblogSystem indexes only the terms it owns.
-/// `ticket`, when set, correlates this sub-batch back to the wire request
-/// that produced it.
+/// A queued unit of ingest work. `routed_terms` carries each record's
+/// pre-routed term subset (parallel to `blogs`, records pre-stamped — see
+/// MicroblogStore::InsertRouted), so a shard indexes only the terms it
+/// owns. `ticket`, when set, correlates this sub-batch back to the wire
+/// request that produced it.
 struct IngestBatch {
   std::vector<Microblog> blogs;
   std::vector<std::vector<TermId>> routed_terms;
   std::shared_ptr<IngestTicket> ticket;
 };
 
-/// Threaded system facade. Start() launches the digestion and flusher
+/// One threaded shard. Start() launches the digestion and flusher
 /// threads; Stop() drains and joins them. A system runs once: after
 /// Stop() the ingest queue is closed for good (construct a new system to
-/// restart), though queries remain valid against the final contents.
+/// restart), though its store stays queryable.
 class MicroblogSystem {
  public:
   explicit MicroblogSystem(SystemOptions options);
@@ -97,15 +95,6 @@ class MicroblogSystem {
   /// Safe to call mid-flush: a digestion thread stalled on backpressure is
   /// released rather than waited on.
   void Stop();
-
-  /// Submits a batch of microblogs for digestion. Blocks while the queue
-  /// is full; returns false once the system is stopped.
-  bool Submit(std::vector<Microblog> batch);
-
-  /// Sharded ingest: like Submit, but each record is digested under its
-  /// pre-routed term subset (batch.routed_terms parallel to batch.blogs,
-  /// records pre-stamped — see MicroblogStore::InsertRouted).
-  bool SubmitRouted(IngestBatch batch);
 
   // Two-phase admission, used by ShardedMicroblogSystem for all-or-nothing
   // routed submits across shards: reserve one ingest-queue slot on every
@@ -127,14 +116,10 @@ class MicroblogSystem {
   /// Current ingest-queue depth in batches (lock-free estimate).
   size_t queue_depth() const { return queue_.approx_size(); }
 
-  /// Evaluates a query against current contents (thread-safe, any time).
-  Result<QueryResult> Query(const TopKQuery& query);
-
   /// Total microblogs digested so far.
   uint64_t digested() const { return digested_.load(std::memory_order_relaxed); }
 
   MicroblogStore* store() { return store_.get(); }
-  QueryEngine* engine() { return &engine_; }
 
  private:
   void DigestionLoop();
@@ -142,7 +127,6 @@ class MicroblogSystem {
 
   SystemOptions options_;
   std::unique_ptr<MicroblogStore> store_;
-  QueryEngine engine_;
   BoundedQueue<IngestBatch> queue_;
 
   std::thread digestion_thread_;

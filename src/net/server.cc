@@ -43,7 +43,7 @@ uint64_t PackTag(int fd, uint32_t gen) {
 
 NetServer::NetServer(ShardedMicroblogSystem* system, ServerOptions options)
     : system_(system), options_(std::move(options)) {
-  subs_ = MakeSubscriptions(system_);
+  subs_ = MakeSubscriptions(system_->engine());
   c_sub_pushes_ = subs_->metrics_registry()->counter("sub.pushes");
   MetricsRegistry* r = registry_.get();
   c_connections_accepted_ = r->counter("net.connections_accepted");
@@ -604,6 +604,9 @@ void NetServer::DrainSubscriptionPushes() {
     Connection* conn = cit->second.get();
     const size_t pending = conn->out.size() - conn->out_offset;
     if (pending > options_.conn_write_buffer_limit) {
+      // A stale notification, whose deltas an earlier wake-up already
+      // pushed, has nothing due: the consumer has lost nothing yet.
+      if (!subs_->HasUndrainedDeltas(sub_id)) continue;
       // Slow consumer with deltas due: never silently drop deltas or let
       // them balloon the buffer — terminal-push every standing query on
       // the connection and drop the connection itself.

@@ -3,7 +3,7 @@
 // connection; frames are decoded with net/protocol.h, ingest goes
 // through ShardedMicroblogSystem::TrySubmit (all-or-nothing, explicit
 // NACK on overload — the event loop never blocks on a full shard
-// queue), queries run inline through the fan-out engine, and two
+// queue), queries run inline through the query engine, and two
 // backpressure mechanisms bound memory:
 //
 //   * admission control: an ingest batch is NACKed kOverloaded when any

@@ -5,8 +5,9 @@
 // replay a query workload interleaved with continued ingest at the
 // paper's tweet/query rate ratio, and report hit ratios and memory
 // statistics. Single-threaded and fully deterministic (SimClock + seeded
-// generators); the threaded digestion-rate experiment (Figure 10(b)) uses
-// MicroblogSystem directly instead.
+// generators) over ShardedMicroblogStore at every shard count; the
+// threaded digestion-rate experiment (Figure 10(b)) uses
+// ShardedMicroblogSystem directly instead.
 
 #ifndef KFLUSH_SIM_EXPERIMENT_H_
 #define KFLUSH_SIM_EXPERIMENT_H_
@@ -30,9 +31,7 @@ struct ExperimentConfig {
   TweetGeneratorOptions stream;
   QueryWorkloadOptions workload;
 
-  /// Number of index shards. 1 = the single-store path (bit-for-bit the
-  /// pre-sharding driver); >1 routes ingest through ShardedMicroblogStore
-  /// and queries through the fan-out engine, and every result field
+  /// Number of index shards (1 = the single node). Every result field
   /// reports cross-shard aggregates (store.memory_budget_bytes is the
   /// total, split across shards).
   size_t shards = 1;
@@ -75,16 +74,17 @@ struct ExperimentResult {
   uint64_t tweets_streamed = 0;
   /// True if steady state was reached within the stream cap.
   bool reached_steady_state = false;
-  /// Full registry snapshot at the end of the run: every instrument plus
-  /// the provider-exported component stats (the `flush.phaseN.*` and
-  /// `query.latency_micros.*` series the benchmarks serialize).
+  /// Full registry snapshot at the end of the run, aggregated over the
+  /// shards: every instrument plus the provider-exported component stats
+  /// (the `flush.phaseN.*` and `query.latency_micros.*` series the
+  /// benchmarks serialize); with more than one shard, also each shard's
+  /// series under a "shard<i>." prefix.
   MetricsSnapshot metrics;
   /// With config.audit_evictions: every eviction victim of the run, and
-  /// the outcome of ReconcileAuditWithStats against policy_stats (OK when
-  /// the audit sums match the per-phase counters exactly). Sharded runs
-  /// concatenate the per-shard trails (records carry their shard id) and
-  /// reconcile each shard against its own policy before reporting the
-  /// first failure, if any.
+  /// the outcome of ReconcileAuditWithStats (OK when the audit sums match
+  /// the per-phase counters exactly). The per-shard trails are
+  /// concatenated (records carry their shard id), and each shard is
+  /// reconciled against its own policy; the first failure is reported.
   std::vector<EvictionAuditRecord> eviction_audit;
   Status audit_reconciliation = Status::OK();
 

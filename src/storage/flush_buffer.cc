@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "storage/wal.h"
+
 namespace kflush {
 
 FlushBuffer::FlushBuffer(MemoryTracker* tracker) : tracker_(tracker) {}
@@ -36,7 +38,8 @@ Status FlushBuffer::DrainTo(DiskStore* disk) {
   // The batch is copied, not moved: until WriteBatch acknowledges, these
   // records exist nowhere else (their memory-index postings are already
   // dropped), so a failed write must put them back rather than lose them.
-  Status status = disk->WriteBatch(batch);
+  Status status = wal_ != nullptr ? wal_->Commit() : Status::OK();
+  if (status.ok()) status = disk->WriteBatch(batch);
   if (!status.ok()) {
     std::lock_guard<std::mutex> lock(mu_);
     // Re-queue ahead of anything added while the write was in flight so

@@ -17,6 +17,8 @@
 
 namespace kflush {
 
+class WriteAheadLog;
+
 /// Thread-safe victim accumulator. The flushing thread Adds records as
 /// their pcount reaches zero, then Drains once per flush cycle.
 class FlushBuffer {
@@ -37,6 +39,12 @@ class FlushBuffer {
   /// their memory-index postings are already gone.
   Status DrainTo(DiskStore* disk);
 
+  /// Write-ahead rule of the durable store: every drain commits `wal`
+  /// before writing to disk (a failed commit fails the drain like a
+  /// failed write), so a record reaches a segment only once its WAL
+  /// entry, and every earlier one, is durable. Set before the first drain.
+  void set_wal(WriteAheadLog* wal) { wal_ = wal; }
+
   size_t count() const;
   size_t bytes() const;
 
@@ -48,6 +56,7 @@ class FlushBuffer {
 
  private:
   MemoryTracker* tracker_;
+  WriteAheadLog* wal_ = nullptr;
   mutable std::mutex mu_;
   std::vector<Microblog> records_;
   size_t bytes_ = 0;

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "core/sharded_query_engine.h"
-#include "core/sharded_store.h"
-#include "core/sharded_system.h"
 #include "core/store.h"
 #include "core/trace.h"
 #include "index/spatial_grid.h"
@@ -416,6 +413,18 @@ bool SubscriptionManager::DrainDeltas(uint64_t sub_id,
   return true;
 }
 
+bool SubscriptionManager::HasUndrainedDeltas(uint64_t sub_id) const {
+  std::shared_ptr<Subscription> sub;
+  {
+    std::shared_lock<std::shared_mutex> lock(registry_mu_);
+    auto it = subs_.find(sub_id);
+    if (it == subs_.end()) return false;
+    sub = it->second;
+  }
+  std::lock_guard<std::mutex> lock(sub->mu);
+  return !sub->outbox.empty();
+}
+
 bool SubscriptionManager::SnapshotMembers(uint64_t sub_id,
                                           std::vector<SubMember>* out) const {
   std::shared_ptr<Subscription> sub;
@@ -477,11 +486,9 @@ std::vector<MicroblogId> SubscriptionManager::member_eviction_ids() const {
 namespace {
 
 /// The snapshot querier: a standing result recomputed over the FULL
-/// record set. force_disk defeats the memory-hit shortcut — under LRU the
-/// memory postings of a term need not be a score-prefix of memory ∪ disk,
-/// so a memory-only answer could be degraded exactly when a refill is
-/// needed most.
-Result<QueryResult> SnapshotQueryOn(QueryEngineBase* engine,
+/// record set. force_disk defeats the memory-hit shortcut, so a refill
+/// reads every tier even where the hit rule holds.
+Result<QueryResult> SnapshotQueryOn(QueryEngine* engine,
                                     const SubscriptionSpec& spec, uint32_t k) {
   if (spec.kind == SubKind::kArea) {
     return engine->SearchArea(spec.box.min_lat, spec.box.min_lon,
@@ -499,37 +506,15 @@ Result<QueryResult> SnapshotQueryOn(QueryEngineBase* engine,
   return engine->Execute(query);
 }
 
-/// A manager whose snapshot/refill queries run on `engine`.
-std::unique_ptr<SubscriptionManager> ManagerOn(QueryEngineBase* engine) {
-  return std::make_unique<SubscriptionManager>(
+}  // namespace
+
+std::unique_ptr<SubscriptionManager> MakeSubscriptions(QueryEngine* engine) {
+  auto manager = std::make_unique<SubscriptionManager>(
       [engine](const SubscriptionSpec& spec, uint32_t k) {
         return SnapshotQueryOn(engine, spec, k);
       });
-}
-
-}  // namespace
-
-std::unique_ptr<SubscriptionManager> MakeSubscriptions(MicroblogStore* store,
-                                                       QueryEngine* engine) {
-  auto manager = ManagerOn(engine);
-  manager->AttachStore(store);
-  return manager;
-}
-
-std::unique_ptr<SubscriptionManager> MakeSubscriptions(
-    ShardedMicroblogStore* store) {
-  auto manager = ManagerOn(store->engine());
-  for (size_t i = 0; i < store->num_shards(); ++i) {
-    manager->AttachStore(store->shard(i));
-  }
-  return manager;
-}
-
-std::unique_ptr<SubscriptionManager> MakeSubscriptions(
-    ShardedMicroblogSystem* system) {
-  auto manager = ManagerOn(system->engine());
-  for (size_t i = 0; i < system->num_shards(); ++i) {
-    manager->AttachStore(system->shard_store(i));
+  for (size_t i = 0; i < engine->num_shards(); ++i) {
+    manager->AttachStore(engine->store(i));
   }
   return manager;
 }

@@ -9,8 +9,8 @@
 // posting of a record that is a member of a standing result, the manager
 // records a member eviction and schedules a disk-backed refill — a
 // re-execution of the subscription's snapshot query with
-// TopKQuery::force_disk set, so the memory-hit predicate cannot shortcut
-// to a (possibly degraded) memory-only answer. Refills run lazily at the
+// TopKQuery::force_disk set, so every tier is read and the refill is
+// counted as a miss, not as a hit. Refills run lazily at the
 // next drain, off the flushing thread, so the hook never re-enters policy
 // or disk locks held by the flush. Because records are insert-only with
 // immutable scores, a refill must be a no-op on a correct standing
@@ -44,9 +44,6 @@
 #include "util/status.h"
 
 namespace kflush {
-
-class ShardedMicroblogStore;
-class ShardedMicroblogSystem;
 
 class SubscriptionManager : public SubscriptionSink {
  public:
@@ -103,6 +100,10 @@ class SubscriptionManager : public SubscriptionSink {
   /// pushed: the caller owns their delivery from here. Returns false for
   /// unknown ids.
   bool DrainDeltas(uint64_t sub_id, std::vector<SubDelta>* out);
+
+  /// True while the subscription's outbox holds deltas not yet drained
+  /// (false for unknown ids).
+  bool HasUndrainedDeltas(uint64_t sub_id) const;
 
   /// Copies the current standing result, best-first. Returns false for
   /// unknown ids.
@@ -211,16 +212,11 @@ class SubscriptionManager : public SubscriptionSink {
   Gauge* active_gauge_;
 };
 
-/// Wires a manager to a deployment: installs the insert/eviction sinks on
-/// every shard store and builds the force-disk snapshot querier over the
-/// deployment's query surface. The returned manager must be destroyed
-/// before the deployment it watches.
-std::unique_ptr<SubscriptionManager> MakeSubscriptions(MicroblogStore* store,
-                                                       QueryEngine* engine);
-std::unique_ptr<SubscriptionManager> MakeSubscriptions(
-    ShardedMicroblogStore* store);
-std::unique_ptr<SubscriptionManager> MakeSubscriptions(
-    ShardedMicroblogSystem* system);
+/// Wires a manager to the deployment `engine` queries: installs the
+/// insert/eviction sinks on every one of its shard stores and runs the
+/// force-disk snapshot queries on `engine`. The returned manager must be
+/// destroyed before the deployment it watches.
+std::unique_ptr<SubscriptionManager> MakeSubscriptions(QueryEngine* engine);
 
 }  // namespace kflush
 

@@ -8,12 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <string>
 
 #include "../testing/test_util.h"
 #include "core/query_engine.h"
 #include "core/sharded_store.h"
-#include "core/system.h"
+#include "core/sharded_system.h"
 #include "storage/wal.h"
 
 namespace kflush {
@@ -249,16 +250,17 @@ TEST_F(DurableStoreTest, ShardedStoreResumesCentralIdsAfterRestart) {
 }
 
 TEST_F(DurableStoreTest, SystemShutdownThenRestartLosesNothing) {
-  // The threaded deployment: Submit → digestion thread → WAL (group
-  // commit per digested batch) → Stop drains. A restart must see every
-  // digested record even though none were flushed.
+  // The threaded deployment at one shard: Submit → digestion thread → WAL
+  // (group commit per digested batch) → Stop drains. A restart must see
+  // every digested record even though none were flushed.
+  ShardedSystemOptions opts;
+  opts.system.store = SmallStoreOptions(PolicyKind::kKFlushing, 512 * 1024);
+  opts.system.store.durability.enabled = true;
+  opts.system.store.durability.dir = dir_;
+  opts.num_shards = 1;
   {
-    SystemOptions opts;
-    opts.store = SmallStoreOptions(PolicyKind::kKFlushing, 512 * 1024);
-    opts.store.durability.enabled = true;
-    opts.store.durability.dir = dir_;
-    MicroblogSystem system(opts);
-    ASSERT_TRUE(system.store()->durability_status().ok());
+    ShardedMicroblogSystem system(opts);
+    ASSERT_TRUE(system.DurabilityStatus().ok());
     system.Start();
     std::vector<Microblog> batch;
     for (int i = 1; i <= 50; ++i) {
@@ -272,20 +274,85 @@ TEST_F(DurableStoreTest, SystemShutdownThenRestartLosesNothing) {
     EXPECT_EQ(system.digested(), 50u);
   }
 
-  SystemOptions opts;
-  opts.store = SmallStoreOptions(PolicyKind::kKFlushing, 512 * 1024);
-  opts.store.durability.enabled = true;
-  opts.store.durability.dir = dir_;
-  MicroblogSystem recovered(opts);
-  ASSERT_TRUE(recovered.store()->durability_status().ok());
-  EXPECT_EQ(recovered.store()->recovery_stats().wal_records_recovered, 50u);
+  ShardedMicroblogSystem recovered(opts);
+  ASSERT_TRUE(recovered.DurabilityStatus().ok());
+  EXPECT_EQ(recovered.shard_store(0)->recovery_stats().wal_records_recovered,
+            50u);
   TopKQuery q;
   q.terms = {3};
   q.type = QueryType::kSingle;
   q.k = 50;
-  auto result = recovered.engine()->Execute(q);
+  auto result = recovered.Query(q);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->results.size(), 50u);
+}
+
+TEST_F(DurableStoreTest, DirectoryOpensOnlyAtTheShardCountThatWroteIt) {
+  auto options = [&](size_t shards) {
+    ShardedStoreOptions opts;
+    opts.store = SmallStoreOptions(PolicyKind::kKFlushing, 512 * 1024);
+    opts.store.durability.enabled = true;
+    opts.store.durability.dir = dir_;
+    opts.num_shards = shards;
+    return opts;
+  };
+  auto answer = [](ShardedMicroblogStore* store, TermId term) {
+    TopKQuery q;
+    q.terms = {term};
+    q.type = QueryType::kSingle;
+    q.k = 20;
+    auto result = store->engine()->Execute(q);
+    EXPECT_TRUE(result.ok());
+    std::vector<MicroblogId> ids;
+    for (const Microblog& blog : result->results) ids.push_back(blog.id);
+    return ids;
+  };
+  std::vector<std::vector<MicroblogId>> before;
+  {
+    ShardedMicroblogStore store(options(2));
+    ASSERT_TRUE(store.DurabilityStatus().ok());
+    for (int i = 1; i <= 24; ++i) {
+      ASSERT_TRUE(store
+                      .Insert(MakeBlog(kInvalidMicroblogId, 1000 + i,
+                                       {static_cast<KeywordId>(i % 6)}))
+                      .ok());
+    }
+    ASSERT_TRUE(store.CommitDurableAll().ok());
+    for (TermId t = 0; t < 6; ++t) before.push_back(answer(&store, t));
+  }
+
+  for (size_t wrong : {1u, 4u}) {
+    ShardedMicroblogStore reopened(options(wrong));
+    const Status status = reopened.DurabilityStatus();
+    ASSERT_FALSE(status.ok()) << "reopened a 2-shard directory at " << wrong;
+    // The message names both shard counts.
+    EXPECT_NE(status.ToString().find("holds 2 shard"), std::string::npos)
+        << status.ToString();
+    EXPECT_NE(status.ToString().find("opened with " + std::to_string(wrong)),
+              std::string::npos)
+        << status.ToString();
+    // Nothing was created: still exactly the writer's two shard dirs.
+    EXPECT_FALSE(std::filesystem::exists(dir_ + "/wal.log"));
+    EXPECT_FALSE(std::filesystem::exists(dir_ + "/shard-2"));
+  }
+
+  ShardedMicroblogStore reopened(options(2));
+  ASSERT_TRUE(reopened.DurabilityStatus().ok())
+      << reopened.DurabilityStatus().ToString();
+  for (TermId t = 0; t < 6; ++t) EXPECT_EQ(answer(&reopened, t), before[t]);
+}
+
+TEST_F(DurableStoreTest, SingleStoreDirectoryDoesNotOpenSharded) {
+  {
+    MicroblogStore store(DurableOptions());
+    ASSERT_TRUE(store.Insert(MakeBlog(kInvalidMicroblogId, 1000, {1})).ok());
+  }
+  ShardedStoreOptions opts;
+  opts.store = DurableOptions();
+  opts.num_shards = 1;
+  ShardedMicroblogStore sharded(opts);
+  EXPECT_FALSE(sharded.DurabilityStatus().ok());
+  EXPECT_FALSE(std::filesystem::exists(dir_ + "/shard-0"));
 }
 
 }  // namespace

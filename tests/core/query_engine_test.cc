@@ -41,6 +41,29 @@ class QueryEngineTest : public ::testing::Test {
     return QueryMetricsFromRegistry(store_.metrics_registry()->Snapshot());
   }
 
+  uint64_t UnprovenHits() {
+    return store_.metrics_registry()->Snapshot().counter_or(
+        "query.unproven_hits");
+  }
+
+  /// Registers a record on the disk tier only, under `kws`, as if it had
+  /// been flushed (or recovered) there while older records stayed in
+  /// memory — a disk posting that outranks memory postings.
+  void IngestOnDisk(MicroblogId id, Timestamp ts, std::vector<KeywordId> kws) {
+    const Microblog blog = MakeBlog(id, ts, kws);
+    const double score = store_.ranking()->Score(blog);
+    for (KeywordId kw : kws) {
+      ASSERT_TRUE(store_.disk()->AddPosting(kw, id, score).ok());
+    }
+    ASSERT_TRUE(store_.disk()->WriteBatch({blog}).ok());
+  }
+
+  static std::vector<MicroblogId> Ids(const QueryResult& result) {
+    std::vector<MicroblogId> ids;
+    for (const Microblog& blog : result.results) ids.push_back(blog.id);
+    return ids;
+  }
+
   MicroblogStore store_;
   QueryEngine engine_;
 };
@@ -154,6 +177,60 @@ TEST_F(QueryEngineTest, AndMissMergesDiskSide) {
   EXPECT_FALSE(result->memory_hit);
   ASSERT_EQ(result->results.size(), 4u);  // ids 1..4 recovered
   EXPECT_EQ(result->results[0].id, 4u);
+}
+
+TEST_F(QueryEngineTest, SingleHitOutrankedByDiskIsExact) {
+  for (MicroblogId id = 1; id <= 8; ++id) Ingest(id, id * 10, {1});
+  auto proven = engine_.Execute(Single(1));
+  ASSERT_TRUE(proven.ok());
+  EXPECT_TRUE(proven->memory_hit);
+  EXPECT_EQ(proven->from_disk, 0u);
+  EXPECT_EQ(UnprovenHits(), 0u);
+
+  // Memory still holds k postings of keyword 1, so the paper's rule still
+  // calls this a hit — but its 5th best (ts 40) loses to the disk's best.
+  IngestOnDisk(100, 1000, {1});
+  auto result = engine_.Execute(Single(1));
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result->memory_hit);
+  EXPECT_EQ(Ids(*result), (std::vector<MicroblogId>{100, 8, 7, 6, 5}));
+  EXPECT_EQ(result->from_disk, 1u);
+  EXPECT_EQ(UnprovenHits(), 1u);
+}
+
+TEST_F(QueryEngineTest, OrHitOutrankedByDiskIsExact) {
+  for (MicroblogId id = 1; id <= 6; ++id) Ingest(id, id * 10, {1});
+  for (MicroblogId id = 11; id <= 16; ++id) Ingest(id, id * 10, {2});
+  IngestOnDisk(100, 1000, {2});
+  auto result = engine_.Execute(Multi(QueryType::kOr, 1, 2));
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result->memory_hit);
+  EXPECT_EQ(Ids(*result), (std::vector<MicroblogId>{100, 16, 15, 14, 13}));
+  EXPECT_EQ(UnprovenHits(), 1u);
+}
+
+TEST_F(QueryEngineTest, AndHitOutrankedByDiskIsExact) {
+  for (MicroblogId id = 1; id <= 6; ++id) Ingest(id, id * 10, {1, 2});
+  // Keyword 1's disk posting outranks memory, but a record missing from
+  // memory would need a disk posting under keyword 2 as well: none exists,
+  // so memory provably holds the top-k.
+  IngestOnDisk(100, 1000, {1});
+  auto proven = engine_.Execute(Multi(QueryType::kAnd, 1, 2));
+  ASSERT_TRUE(proven.ok());
+  EXPECT_TRUE(proven->memory_hit);
+  EXPECT_EQ(Ids(*proven), (std::vector<MicroblogId>{6, 5, 4, 3, 2}));
+  EXPECT_EQ(proven->from_disk, 0u);
+  EXPECT_EQ(UnprovenHits(), 0u);
+
+  // Six memory records still carry both terms — a hit by the record-based
+  // rule — but a newer record on disk under both outranks them.
+  IngestOnDisk(101, 2000, {1, 2});
+  auto result = engine_.Execute(Multi(QueryType::kAnd, 1, 2));
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result->memory_hit);
+  EXPECT_EQ(Ids(*result), (std::vector<MicroblogId>{101, 6, 5, 4, 3}));
+  EXPECT_EQ(result->from_disk, 1u);
+  EXPECT_EQ(UnprovenHits(), 1u);
 }
 
 TEST_F(QueryEngineTest, ValidationErrors) {

@@ -72,17 +72,18 @@ TEST(ShardedStore, DuplicatesMultiTermRecordAcrossOwners) {
 
   // Each shard indexes only its owned term: the record is findable under
   // keyword 0 only through shard owner0, under keyword 1 only through
-  // owner1.
-  auto r0 = store.shard_engine(owner0)->Execute({{0}, QueryType::kSingle, 5});
+  // owner1 (each queried on its own, as a one-store engine).
+  QueryEngine on_owner0(store.shard(owner0));
+  QueryEngine on_owner1(store.shard(owner1));
+  auto r0 = on_owner0.Execute({{0}, QueryType::kSingle, 5});
   ASSERT_TRUE(r0.ok());
   EXPECT_EQ(r0.value().results.size(), 1u);
-  auto r0_miss =
-      store.shard_engine(owner1)->Execute({{0}, QueryType::kSingle, 5});
+  auto r0_miss = on_owner1.Execute({{0}, QueryType::kSingle, 5});
   ASSERT_TRUE(r0_miss.ok());
   EXPECT_TRUE(r0_miss.value().results.empty());
 
   // The two copies are byte-identical (central stamping).
-  auto r1 = store.shard_engine(owner1)->Execute({{1}, QueryType::kSingle, 5});
+  auto r1 = on_owner1.Execute({{1}, QueryType::kSingle, 5});
   ASSERT_TRUE(r1.ok());
   ASSERT_EQ(r1.value().results.size(), 1u);
   EXPECT_TRUE(RecordsEqual(r0.value().results[0], r1.value().results[0]));
@@ -96,8 +97,8 @@ TEST(ShardedStore, StampsIdsCentrallyAndMonotonically) {
   }
   // Collect every record back through per-shard single-term queries.
   for (KeywordId kw = 0; kw < 10; ++kw) {
-    const size_t owner = store.router().ShardForTerm(kw);
-    auto r = store.shard_engine(owner)->Execute({{kw}, QueryType::kSingle, 5});
+    QueryEngine on_owner(store.shard(store.router().ShardForTerm(kw)));
+    auto r = on_owner.Execute({{kw}, QueryType::kSingle, 5});
     ASSERT_TRUE(r.ok());
     ASSERT_EQ(r.value().results.size(), 1u);
     ids.push_back(r.value().results[0].id);

@@ -1,6 +1,9 @@
-#include "core/system.h"
+// The threaded single node: ShardedMicroblogSystem at one shard, whose
+// MicroblogSystem unit digests and flushes in the background.
 
 #include <gtest/gtest.h>
+
+#include "core/sharded_system.h"
 
 #include "../testing/test_util.h"
 #include "gen/tweet_generator.h"
@@ -8,15 +11,16 @@
 namespace kflush {
 namespace {
 
-SystemOptions SmallSystem(PolicyKind policy) {
-  SystemOptions opts;
-  opts.store = testing_util::SmallStoreOptions(policy, 128 * 1024, 5);
-  opts.ingest_queue_capacity = 16;
+ShardedSystemOptions SmallSystem(PolicyKind policy) {
+  ShardedSystemOptions opts;
+  opts.system.store = testing_util::SmallStoreOptions(policy, 128 * 1024, 5);
+  opts.system.ingest_queue_capacity = 16;
+  opts.num_shards = 1;
   return opts;
 }
 
 TEST(MicroblogSystemTest, DigestsSubmittedBatches) {
-  MicroblogSystem system(SmallSystem(PolicyKind::kKFlushing));
+  ShardedMicroblogSystem system(SmallSystem(PolicyKind::kKFlushing));
   system.Start();
   TweetGeneratorOptions gopts;
   gopts.vocabulary_size = 100;
@@ -28,12 +32,12 @@ TEST(MicroblogSystemTest, DigestsSubmittedBatches) {
   }
   system.Stop();
   EXPECT_EQ(system.digested(), 1000u);
-  EXPECT_GT(system.store()->raw_store()->size(), 0u);
+  EXPECT_GT(system.shard_store(0)->raw_store()->size(), 0u);
 }
 
 TEST(MicroblogSystemTest, BackgroundFlusherBoundsMemory) {
-  SystemOptions opts = SmallSystem(PolicyKind::kKFlushing);
-  MicroblogSystem system(opts);
+  ShardedSystemOptions opts = SmallSystem(PolicyKind::kKFlushing);
+  ShardedMicroblogSystem system(opts);
   system.Start();
   TweetGeneratorOptions gopts;
   gopts.vocabulary_size = 500;
@@ -47,16 +51,16 @@ TEST(MicroblogSystemTest, BackgroundFlusherBoundsMemory) {
   system.Stop();
   EXPECT_EQ(system.digested(), 6000u);
   // Memory stayed within the stall ceiling.
-  EXPECT_LE(system.store()->tracker().DataUsed(),
-            static_cast<size_t>(opts.store.memory_budget_bytes *
-                                opts.ingest_stall_factor * 1.1));
+  EXPECT_LE(system.shard_store(0)->tracker().DataUsed(),
+            static_cast<size_t>(opts.system.store.memory_budget_bytes *
+                                opts.system.ingest_stall_factor * 1.1));
   // Flushes actually ran and data reached disk.
-  EXPECT_GT(system.store()->ingest_stats().flush_triggers, 0u);
-  EXPECT_GT(system.store()->disk()->NumRecords(), 0u);
+  EXPECT_GT(system.shard_store(0)->ingest_stats().flush_triggers, 0u);
+  EXPECT_GT(system.shard_store(0)->disk()->NumRecords(), 0u);
 }
 
 TEST(MicroblogSystemTest, QueriesRunConcurrentlyWithIngest) {
-  MicroblogSystem system(SmallSystem(PolicyKind::kKFlushing));
+  ShardedMicroblogSystem system(SmallSystem(PolicyKind::kKFlushing));
   system.Start();
   TweetGeneratorOptions gopts;
   gopts.vocabulary_size = 50;
@@ -87,7 +91,7 @@ TEST(MicroblogSystemTest, QueriesRunConcurrentlyWithIngest) {
 }
 
 TEST(MicroblogSystemTest, StartAndStopAreIdempotent) {
-  MicroblogSystem system(SmallSystem(PolicyKind::kFifo));
+  ShardedMicroblogSystem system(SmallSystem(PolicyKind::kFifo));
   system.Start();
   system.Start();  // no-op
   std::vector<Microblog> batch;
@@ -103,7 +107,7 @@ TEST(MicroblogSystemTest, StartAndStopAreIdempotent) {
 
 TEST(MicroblogSystemTest, AllPoliciesSurviveStress) {
   for (PolicyKind policy : testing_util::AllPolicies()) {
-    MicroblogSystem system(SmallSystem(policy));
+    ShardedMicroblogSystem system(SmallSystem(policy));
     system.Start();
     TweetGeneratorOptions gopts;
     gopts.seed = 7;

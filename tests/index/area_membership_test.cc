@@ -102,7 +102,7 @@ TEST(AreaContains, OneShotAndSubscriptionAgreeWithBruteForce) {
     EXPECT_TRUE(AreaContains(box, result->results[i]));
   }
 
-  auto subs = MakeSubscriptions(&store, &engine);
+  auto subs = MakeSubscriptions(&engine);
   SubscriptionSpec spec;
   spec.kind = SubKind::kArea;
   spec.k = k;

@@ -7,7 +7,7 @@
 #include <atomic>
 #include <thread>
 
-#include "core/system.h"
+#include "core/sharded_system.h"
 #include "gen/query_generator.h"
 #include "gen/tweet_generator.h"
 
@@ -22,7 +22,7 @@ TEST_P(ConcurrencyStressTest, ParallelIngestFlushQuery) {
   options.store.k = 10;
   options.store.policy = GetParam();
   options.ingest_queue_capacity = 32;
-  MicroblogSystem system(options);
+  ShardedMicroblogSystem system(ShardedSystemOptions{options, 1});
   system.Start();
 
   TweetGeneratorOptions stream;
@@ -73,7 +73,7 @@ TEST_P(ConcurrencyStressTest, ParallelIngestFlushQuery) {
   EXPECT_EQ(query_errors.load(), 0u);
   EXPECT_GT(queries_done.load(), 0u);
 
-  MicroblogStore* store = system.store();
+  MicroblogStore* store = system.shard_store(0);
   // Invariant: no orphaned records (pcount must stay positive).
   size_t orphans = 0;
   store->raw_store()->ForEach(

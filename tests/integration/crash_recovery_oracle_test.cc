@@ -21,9 +21,8 @@
 //      out of order or with a hole,
 //   3. every recovered record body is field-wise identical to what was
 //      inserted (whether it landed in memory or a segment),
-//   4. single-term and OR top-k answers are field-wise identical to an
-//      uninterrupted reference store fed the same prefix 1..M (AND is
-//      excluded for the same hit-path reason as the shard oracle), and
+//   4. single-term, AND and OR top-k answers are field-wise identical to
+//      an uninterrupted reference store fed the same prefix 1..M, and
 //   5. after continued ingest on both stores, the answers still agree —
 //      the recovered store is a full peer, not a read-only salvage.
 
@@ -55,6 +54,7 @@ constexpr uint64_t kStreamLen = 1200;
 constexpr uint64_t kCommitEvery = 25;
 constexpr uint64_t kContinueLen = 50;
 constexpr size_t kVocab = 40;
+constexpr size_t kHubs = 2;
 constexpr size_t kBudget = 64 * 1024;
 constexpr int kKillExit = 137;
 constexpr uint32_t kSeedBase = 20160516;  // fixed seed matrix (CI replays)
@@ -75,10 +75,13 @@ void KillingHook(const char*) {
   }
 }
 
-/// The i-th record of the deterministic stream (1-based, id == i).
+/// The i-th record of the deterministic stream (1-based, id == i): one of
+/// kVocab keywords plus a hub keyword that alternates every kVocab
+/// records, so AND pairs (keyword, hub) share records.
 Microblog StreamRecord(uint64_t i) {
   return MakeBlog(static_cast<MicroblogId>(i), 1000 + i,
-                  {static_cast<KeywordId>(i % kVocab)},
+                  {static_cast<KeywordId>(i % kVocab),
+                   static_cast<KeywordId>(kVocab + (i / kVocab) % kHubs)},
                   1 + (i % 7), "crash stream record " + std::to_string(i));
 }
 
@@ -155,13 +158,11 @@ ChildRun ForkChild(PolicyKind policy, const std::string& dir,
   return run;
 }
 
-/// Top-k answer battery: every single-term query plus a ring of OR
-/// pairs. AND is excluded — its hit path serves memory-resident
-/// containment, a function of flush timing that recovery legitimately
-/// re-partitions (the merged single/OR answers are what must not move).
+/// Top-k answer battery: every single-term query, a ring of OR pairs,
+/// and AND pairs of a keyword with a hub it shares records with.
 std::vector<TopKQuery> QueryBattery() {
   std::vector<TopKQuery> queries;
-  for (size_t t = 0; t < kVocab; ++t) {
+  for (size_t t = 0; t < kVocab + kHubs; ++t) {
     TopKQuery q;
     q.terms = {static_cast<TermId>(t)};
     q.type = QueryType::kSingle;
@@ -173,6 +174,14 @@ std::vector<TopKQuery> QueryBattery() {
     q.terms = {static_cast<TermId>(t),
                static_cast<TermId>((t + 7) % kVocab)};
     q.type = QueryType::kOr;
+    q.k = 10;
+    queries.push_back(q);
+  }
+  for (size_t t = 0; t < 10; ++t) {
+    TopKQuery q;
+    q.terms = {static_cast<TermId>(t),
+               static_cast<TermId>(kVocab + t % kHubs)};
+    q.type = QueryType::kAnd;
     q.k = 10;
     queries.push_back(q);
   }

@@ -11,8 +11,9 @@
 //   disk.records_written   == flush.records_flushed   (buffer fully drained)
 //   query.executed         == query.memory_hits + query.memory_misses
 //                          == sum of per-type/per-outcome latency counts
-//                          == top-level queries run, at every shard count
-//                             (fan-out sub-queries are not queries)
+//                          == queries run, at every shard count (shard
+//                             visits are not queries)
+//   query.unproven_hits    <= query.memory_hits
 
 #include <gtest/gtest.h>
 
@@ -191,9 +192,9 @@ TEST(MetricsConservationTest, QueryHitsPlusMissesEqualQueries) {
 }
 
 // The shard oracle's keyword stream through a sharded store, then
-// correlated top-level queries through its fan-out engine (every type,
-// OR groups spanning shards). Each query must be recorded exactly once,
-// in the registry of the shard owning its first term.
+// correlated queries through its engine (every type, OR groups spanning
+// shards). Each query must be recorded exactly once, in the registry of
+// the shard owning its first term.
 void ExpectFanOutCountedOnce(size_t shards) {
   TweetGeneratorOptions stream;
   stream.seed = 20160516;
@@ -236,6 +237,7 @@ void ExpectFanOutCountedOnce(size_t shards) {
   EXPECT_EQ(snap.counter_or("query.executed"), kQueries);
   EXPECT_EQ(snap.counter_or("query.memory_hits"), hits);
   EXPECT_EQ(snap.counter_or("query.memory_misses"), kQueries - hits);
+  EXPECT_LE(snap.counter_or("query.unproven_hits"), hits);
   EXPECT_EQ(LatencySamples(snap), kQueries);
   const QueryMetricsSnapshot qm = QueryMetricsFromRegistry(snap);
   EXPECT_EQ(qm.queries, kQueries);

@@ -1,37 +1,39 @@
-// The differential shard oracle: a sharded deployment must be invisible
-// in query answers. For every flush policy and every attribute we stream
-// the identical deterministic tweet sequence into
+// The shard oracle: every answer is the exact top-k, at every shard count.
+// For every flush policy and every attribute we stream the identical
+// deterministic tweet sequence into
 //
 //   A. a ShardedMicroblogStore with shards = 1,
 //   B. a ShardedMicroblogStore with shards = TestShardCount()
 //      (KFLUSH_TEST_SHARDS; the CI matrix runs 1 and 4), and
-//   C. a plain MicroblogStore + QueryEngine baseline,
+//   C. a plain MicroblogStore + QueryEngine (the shard unit on its own),
 //
-// then probe all three with the identical query sequence at regular
-// points of the stream — including mid-run SetK churn — and require
-// field-wise identical top-k answers (ids, timestamps, users, text,
-// keywords) between A and B at every probe. The baseline C must agree on
-// single-term and OR answers; AND is excluded there by design: the
-// fan-out layer always evaluates AND over each term's full memory ∪ disk
-// lists (exact), while the baseline engine's AND hit path serves from
-// records resident in memory, which is a function of flush timing.
-// memory_hit / from_memory flags are NOT compared between A and B — the
-// shards flush on their own budget slices, so hit-rates legitimately
-// differ; only answers must not.
+// and into a brute-force reference that keeps every streamed record. At
+// regular points of the stream — including mid-run SetK churn — the
+// identical query sequence probes all three, and every Execute answer
+// (single, AND and OR, under all four policies) must be field-wise
+// identical to the reference's top-k in (score desc, id desc) order
+// (ids, timestamps, users, text, keywords). The user surface is held to
+// the reference too; the area surface, whose box filter runs after the
+// tile query, must agree across A, B and C. memory_hit / from_memory are
+// not compared — the shards flush on their own budget slices, so hit
+// rates legitimately differ; only answers must not.
 //
 // The run ends with bookkeeping reconciliation: per-shard eviction audit
 // trails must reconcile against each shard's PolicyStats, and the
 // aggregated MetricsRegistry snapshot must agree with the aggregated
 // PolicyStats/IngestStats structs.
 
+#include <algorithm>
 #include <cstddef>
 #include <deque>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/query_engine.h"
+#include "core/ranking.h"
 #include "core/sharded_store.h"
 #include "core/store.h"
 #include "core/trace.h"
@@ -75,6 +77,74 @@ void ExpectSameAnswers(const QueryResult& a, const QueryResult& b,
         << Describe(a.results[i]) << " vs " << Describe(b.results[i]);
   }
 }
+
+/// The brute-force reference: every streamed record, stamped with the id
+/// the deployments assign (its arrival ordinal, term-less records
+/// included), indexed by term.
+class Reference {
+ public:
+  Reference(AttributeKind attribute, const TweetGeneratorOptions& stream)
+      : extractor_(MakeAttribute(attribute)),
+        ranking_(MakeRanking(RankingKind::kTemporal)),
+        tweets_(stream) {}
+
+  void StreamOne() {
+    Microblog blog = tweets_.Next();
+    blog.id = ++next_id_;
+    std::vector<TermId> terms;
+    extractor_->ExtractTerms(blog, &terms);
+    if (terms.empty()) return;  // never stored, like the deployments
+    for (TermId term : terms) by_term_[term].push_back(records_.size());
+    terms_.push_back(std::move(terms));
+    records_.push_back(std::move(blog));
+  }
+
+  /// The exact top-k of `query` over every record streamed so far.
+  QueryResult TopK(const TopKQuery& query, uint32_t k) const {
+    std::vector<size_t> matches;
+    for (TermId term : query.terms) {
+      auto it = by_term_.find(term);
+      if (it == by_term_.end()) continue;
+      matches.insert(matches.end(), it->second.begin(), it->second.end());
+    }
+    std::sort(matches.begin(), matches.end());
+    matches.erase(std::unique(matches.begin(), matches.end()), matches.end());
+    if (query.type == QueryType::kAnd) {
+      matches.erase(
+          std::remove_if(matches.begin(), matches.end(),
+                         [&](size_t i) {
+                           for (TermId term : query.terms) {
+                             if (std::find(terms_[i].begin(), terms_[i].end(),
+                                           term) == terms_[i].end()) {
+                               return true;
+                             }
+                           }
+                           return false;
+                         }),
+          matches.end());
+    }
+    std::sort(matches.begin(), matches.end(), [&](size_t a, size_t b) {
+      const double sa = ranking_->Score(records_[a]);
+      const double sb = ranking_->Score(records_[b]);
+      if (sa != sb) return sa > sb;
+      return records_[a].id > records_[b].id;
+    });
+    QueryResult result;
+    for (size_t i = 0; i < matches.size() && i < k; ++i) {
+      result.results.push_back(records_[matches[i]]);
+    }
+    return result;
+  }
+
+ private:
+  std::unique_ptr<AttributeExtractor> extractor_;
+  std::unique_ptr<RankingFunction> ranking_;
+  TweetGenerator tweets_;
+  MicroblogId next_id_ = 0;
+  std::vector<Microblog> records_;
+  std::vector<std::vector<TermId>> terms_;  // parallel to records_
+  std::unordered_map<TermId, std::vector<size_t>> by_term_;
+};
 
 /// One deployment under test: a sharded store fed by its own generator
 /// instance (same options => identical stream) with per-shard audit
@@ -120,7 +190,7 @@ struct Deployment {
   std::deque<EvictionAuditTrail> audits;
 };
 
-/// The unsharded baseline, streamed identically.
+/// The shard unit on its own, streamed identically.
 struct Baseline {
   Baseline(PolicyKind policy, AttributeKind attribute,
            const TweetGeneratorOptions& stream, size_t total_budget)
@@ -228,6 +298,7 @@ TEST_P(ShardOracleTest, ShardCountIsInvisibleInAnswers) {
   Deployment one(policy, attribute, 1, stream, kBudget);
   Deployment many(policy, attribute, shards, stream, kBudget);
   Baseline base(policy, attribute, stream, kBudget);
+  Reference reference(attribute, stream);
   ASSERT_EQ(many.store.num_shards(), shards);
 
   QueryWorkloadOptions workload;
@@ -245,29 +316,28 @@ TEST_P(ShardOracleTest, ShardCountIsInvisibleInAnswers) {
       one.StreamOne();
       many.StreamOne();
       base.StreamOne();
+      reference.StreamOne();
       ++streamed;
     }
 
-    // The same query objects probe every deployment.
+    // The same query objects probe every deployment, and each answer
+    // must be the reference's exact top-k.
+    const uint32_t store_k = one.store.k();
     for (size_t q = 0; q < kQueriesPerProbe; ++q) {
       const TopKQuery query = queries.Next();
+      const std::string label =
+          "@" + std::to_string(streamed) + " " + DescribeQuery(query);
+      const QueryResult expected =
+          reference.TopK(query, query.k != 0 ? query.k : store_k);
       auto ra = one.store.engine()->Execute(query);
       auto rb = many.store.engine()->Execute(query);
-      ASSERT_TRUE(ra.ok()) << DescribeQuery(query);
-      ASSERT_TRUE(rb.ok()) << DescribeQuery(query);
-      ExpectSameAnswers(ra.value(), rb.value(),
-                        "probe@" + std::to_string(streamed) + " " +
-                            DescribeQuery(query));
-      if (query.type != QueryType::kAnd) {
-        // Baseline agreement (AND excluded: the fan-out layer evaluates
-        // AND exactly; the baseline hit path serves memory-resident
-        // containment, a function of flush timing).
-        auto rc = base.engine.Execute(query);
-        ASSERT_TRUE(rc.ok()) << DescribeQuery(query);
-        ExpectSameAnswers(ra.value(), rc.value(),
-                          "baseline@" + std::to_string(streamed) + " " +
-                              DescribeQuery(query));
-      }
+      auto rc = base.engine.Execute(query);
+      ASSERT_TRUE(ra.ok()) << label;
+      ASSERT_TRUE(rb.ok()) << label;
+      ASSERT_TRUE(rc.ok()) << label;
+      ExpectSameAnswers(ra.value(), expected, "shards=1 " + label);
+      ExpectSameAnswers(rb.value(), expected, "shards=N " + label);
+      ExpectSameAnswers(rc.value(), expected, "store " + label);
     }
 
     if (attribute == AttributeKind::kSpatial) {
@@ -288,12 +358,15 @@ TEST_P(ShardOracleTest, ShardCountIsInvisibleInAnswers) {
             "area hotspot " + std::to_string(h) + "@" +
             std::to_string(streamed);
         ExpectSameAnswers(ra.value(), rb.value(), label);
-        ExpectSameAnswers(ra.value(), rc.value(), label + " (baseline)");
+        ExpectSameAnswers(ra.value(), rc.value(), label + " (store)");
       }
     }
     if (attribute == AttributeKind::kUser) {
       // The user surface proper (kSingle over TermForUser).
       for (UserId user = 1; user <= 5; ++user) {
+        TopKQuery query;
+        query.terms = {static_cast<TermId>(user)};
+        const QueryResult expected = reference.TopK(query, store_k);
         auto ra = one.store.engine()->SearchUser(user);
         auto rb = many.store.engine()->SearchUser(user);
         auto rc = base.engine.SearchUser(user);
@@ -302,8 +375,9 @@ TEST_P(ShardOracleTest, ShardCountIsInvisibleInAnswers) {
         ASSERT_TRUE(rc.ok());
         const std::string label =
             "user " + std::to_string(user) + "@" + std::to_string(streamed);
-        ExpectSameAnswers(ra.value(), rb.value(), label);
-        ExpectSameAnswers(ra.value(), rc.value(), label + " (baseline)");
+        ExpectSameAnswers(ra.value(), expected, label);
+        ExpectSameAnswers(rb.value(), expected, label + " (shards=N)");
+        ExpectSameAnswers(rc.value(), expected, label + " (store)");
       }
     }
 

@@ -141,7 +141,7 @@ TEST_P(SubscriptionOracleTest, FoldedDeltasMatchBruteForceAtEveryProbe) {
     store.shard(i)->policy()->set_audit_trail(trails.back().get());
   }
 
-  auto subs = MakeSubscriptions(&store);
+  auto subs = MakeSubscriptions(store.engine());
   const std::vector<Microblog> stream = MakeStream();
   std::map<MicroblogId, const Microblog*> by_id;
   for (const Microblog& blog : stream) by_id[blog.id] = &blog;

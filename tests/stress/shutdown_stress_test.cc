@@ -11,7 +11,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/system.h"
+#include "core/sharded_system.h"
 #include "gen/query_generator.h"
 #include "gen/tweet_generator.h"
 #include "stress/stress_util.h"
@@ -33,7 +33,7 @@ TEST(ShutdownStressTest, StopMidStreamRepeatedly) {
     options.store.policy = PolicyKind::kKFlushingMK;
     options.store.clock = &clock;
     options.ingest_queue_capacity = 4;
-    MicroblogSystem system(options);
+    ShardedMicroblogSystem system(ShardedSystemOptions{options, 1});
     system.Start();
 
     std::atomic<bool> stop{false};
@@ -84,7 +84,7 @@ TEST(ShutdownStressTest, StopMidStreamRepeatedly) {
     query.join();
 
     EXPECT_GE(system.digested(), threshold);
-    stress::CheckStoreInvariants(system.store());
+    stress::CheckStoreInvariants(system.shard_store(0));
     // Destructor runs here, after an explicit Stop() — must be a no-op.
   }
 }
@@ -104,7 +104,7 @@ TEST(ShutdownStressTest, DestructorOnlyTeardown) {
     options.store.policy = PolicyKind::kKFlushing;
     options.store.clock = &clock;
     options.ingest_queue_capacity = 2;
-    MicroblogSystem system(options);
+    ShardedMicroblogSystem system(ShardedSystemOptions{options, 1});
     system.Start();
 
     TweetGeneratorOptions stream;

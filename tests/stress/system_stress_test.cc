@@ -1,10 +1,11 @@
-// Full-system race stress: a MicroblogSystem under simultaneous producers,
-// mixed-workload query threads (single / OR / AND keyword, spatial tile and
-// area, user), adversarial SetK churn, and a background flusher kept busy
-// by a tiny budget — so every kFlushing phase (and the MK refcount paths)
-// runs concurrently with digestion and queries. Parameterized over
-// policy × attribute. Deterministic modulo thread interleaving: all RNG
-// streams derive from one announced base seed.
+// Full-system race stress: the one-shard ShardedMicroblogSystem under
+// simultaneous producers, mixed-workload query threads (single / OR / AND
+// keyword, spatial tile and area, user), adversarial SetK churn, and a
+// background flusher kept busy by a tiny budget — so every kFlushing
+// phase (and the MK refcount paths) runs concurrently with digestion and
+// queries. Parameterized over policy × attribute. Deterministic modulo
+// thread interleaving: all RNG streams derive from one announced base
+// seed.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +14,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/system.h"
+#include "core/sharded_system.h"
 #include "gen/query_generator.h"
 #include "gen/tweet_generator.h"
 #include "stress/stress_util.h"
@@ -46,7 +47,7 @@ TEST_P(SystemStressTest, IngestFlushQuerySetKRace) {
   options.store.attribute = cfg.attribute;
   options.store.clock = &clock;
   options.ingest_queue_capacity = 8;
-  MicroblogSystem system(options);
+  ShardedMicroblogSystem system(ShardedSystemOptions{options, 1});
   system.Start();
 
   TweetGeneratorOptions stream;
@@ -101,7 +102,7 @@ TEST_P(SystemStressTest, IngestFlushQuerySetKRace) {
     const uint32_t ks[] = {5, 10, 20, 35};
     size_t i = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      system.store()->SetK(ks[i++ % 4]);
+      system.SetK(ks[i++ % 4]);
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
   });
@@ -132,9 +133,9 @@ TEST_P(SystemStressTest, IngestFlushQuerySetKRace) {
                 kBatchSize);
   EXPECT_EQ(query_errors.load(), 0u);
   EXPECT_GT(queries_done.load(), 0u);
-  EXPECT_LT(system.store()->tracker().DataUsed(),
+  EXPECT_LT(system.shard_store(0)->tracker().DataUsed(),
             options.store.memory_budget_bytes * 2);
-  stress::CheckStoreInvariants(system.store());
+  stress::CheckStoreInvariants(system.shard_store(0));
 }
 
 INSTANTIATE_TEST_SUITE_P(

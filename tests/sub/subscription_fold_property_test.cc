@@ -47,7 +47,7 @@ class FoldPropertyRun {
         store_(SmallStoreOptions(AllPolicies()[seed % AllPolicies().size()],
                                  /*budget=*/64 * 1024)),
         engine_(&store_),
-        subs_(MakeSubscriptions(&store_, &engine_)) {}
+        subs_(MakeSubscriptions(&engine_)) {}
 
   void Run() {
     SubscribeOne();  // at least one standing query from the start

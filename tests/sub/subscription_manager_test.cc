@@ -30,7 +30,7 @@ class SubscriptionManagerTest : public ::testing::Test {
   explicit SubscriptionManagerTest(PolicyKind policy = PolicyKind::kFifo)
       : store_(SmallStoreOptions(policy)),
         engine_(&store_),
-        subs_(MakeSubscriptions(&store_, &engine_)) {}
+        subs_(MakeSubscriptions(&engine_)) {}
 
   /// Inserts a record with a pre-stamped id (so tests know it) and keeps a
   /// copy for byte-identity checks.

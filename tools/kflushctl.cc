@@ -2,7 +2,9 @@
 //
 //   kflushctl gen-trace   --out FILE --count N [stream flags]
 //   kflushctl replay      --trace FILE [--policy P] [--k K] [--memory-mb M]
+//                         [--shards N]
 //   kflushctl recover     --durable-dir DIR [--policy P] [--k K]
+//                         [--shards N]
 //   kflushctl experiment  [--policy P] [--workload W] [--attribute A]
 //                         [--k K] [--memory-mb M] [--flush-pct B]
 //                         [--queries N] [--seed S]
@@ -20,11 +22,13 @@
 // `experiment` runs the same deterministic steady-state harness as the
 // figure benchmarks and prints the full result; `compare` tabulates all
 // four policies side by side; `replay` streams a saved trace through a
-// store and reports ingest + memory statistics.
+// deployment and reports ingest + memory statistics.
 //
-// `recover` opens a durable store directory (WAL + segments), runs
-// restart recovery, and reports what it found — the smoke test for "will
-// this directory come back after a crash". Every run command accepts
+// `recover` opens a durable deployment directory (per-shard WAL +
+// segments under DIR/shard-<i>, as `serve` and `experiment` write it),
+// runs restart recovery, and reports totals over the shards — the smoke
+// test for "will this directory come back after a crash". A directory
+// opens only at the shard count that wrote it. Every run command accepts
 // --durable-dir DIR [--durability none|batch|commit] to run with the
 // durable tier on (the ingest-throughput-vs-durability table in
 // docs/EXPERIMENTS.md is measured with `replay` this way).
@@ -49,6 +53,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/sharded_store.h"
 #include "core/sharded_system.h"
 #include "core/trace.h"
 #include "gen/trace.h"
@@ -165,25 +170,62 @@ ExperimentConfig ConfigFromFlags(const Flags& flags) {
   return config;
 }
 
+/// The deployment `recover` and `replay` open: a ShardedMicroblogStore
+/// at --shards (default 1), the layout `serve` and `experiment` write.
+ShardedStoreOptions DeploymentFromFlags(const Flags& flags) {
+  const ExperimentConfig config = ConfigFromFlags(flags);
+  ShardedStoreOptions options;
+  options.store = config.store;
+  options.num_shards = config.shards;
+  return options;
+}
+
+/// One memory line per shard.
+void PrintShardMemory(const ShardedMicroblogStore& store) {
+  for (size_t i = 0; i < store.num_shards(); ++i) {
+    if (store.num_shards() > 1) std::printf("shard %zu: ", i);
+    std::printf("%s\n", store.shard(i)->tracker().ToString().c_str());
+  }
+}
+
 int CmdRecover(const Flags& flags) {
   const std::string dir = flags.Get("durable-dir", "");
   if (dir.empty()) {
     std::fprintf(stderr, "recover requires --durable-dir DIR\n");
     return 2;
   }
-  ExperimentConfig config = ConfigFromFlags(flags);
+  const ShardedStoreOptions options = DeploymentFromFlags(flags);
   Stopwatch watch;
-  MicroblogStore store(config.store);
+  ShardedMicroblogStore store(options);
   const double secs = watch.ElapsedSeconds();
-  const Status& status = store.durability_status();
+  const Status status = store.DurabilityStatus();
   if (!status.ok()) {
     std::fprintf(stderr, "recovery FAILED: %s\n", status.ToString().c_str());
     return 1;
   }
-  const StoreRecoveryStats rec = store.recovery_stats();
-  const DiskStats disk = store.disk()->stats();
-  std::printf("recovered %s in %.3fs (level=%s)\n", dir.c_str(), secs,
-              DurabilityLevelName(config.store.durability.level));
+  // Totals over the shards; a record routed to s shards counts s times.
+  StoreRecoveryStats rec;
+  MicroblogId max_id = 0;
+  size_t disk_records = 0;
+  for (size_t i = 0; i < store.num_shards(); ++i) {
+    MicroblogStore* shard = store.shard(i);
+    const StoreRecoveryStats s = shard->recovery_stats();
+    rec.wal_records_recovered += s.wal_records_recovered;
+    rec.wal_torn_bytes_truncated += s.wal_torn_bytes_truncated;
+    rec.wal_entries_retained += s.wal_entries_retained;
+    rec.records_reinserted_memory += s.records_reinserted_memory;
+    rec.records_recovered_to_disk += s.records_recovered_to_disk;
+    max_id = std::max(max_id, shard->recovered_max_id());
+    disk_records += shard->disk()->NumRecords();
+  }
+  const DiskStats disk = store.AggregatedDiskStats();
+  const uint64_t records = disk.records_recovered +
+                           rec.records_recovered_to_disk +
+                           rec.records_reinserted_memory;
+  std::printf("recovered %s in %.3fs (level=%s, shards=%zu): %llu records\n",
+              dir.c_str(), secs,
+              DurabilityLevelName(options.store.durability.level),
+              store.num_shards(), static_cast<unsigned long long>(records));
   std::printf(
       "  segments: %llu records, %llu torn bytes truncated\n",
       static_cast<unsigned long long>(disk.records_recovered),
@@ -200,9 +242,8 @@ int CmdRecover(const Flags& flags) {
       static_cast<unsigned long long>(rec.records_reinserted_memory),
       static_cast<unsigned long long>(rec.records_recovered_to_disk));
   std::printf("  max record id: %llu | disk records now: %zu\n",
-              static_cast<unsigned long long>(store.recovered_max_id()),
-              store.disk()->NumRecords());
-  std::printf("%s\n", store.tracker().ToString().c_str());
+              static_cast<unsigned long long>(max_id), disk_records);
+  PrintShardMemory(store);
   return 0;
 }
 
@@ -249,8 +290,13 @@ int CmdReplay(const Flags& flags) {
     std::fprintf(stderr, "%s\n", reader.status().ToString().c_str());
     return 1;
   }
-  ExperimentConfig config = ConfigFromFlags(flags);
-  MicroblogStore store(config.store);
+  ShardedMicroblogStore store(DeploymentFromFlags(flags));
+  const Status durability = store.DurabilityStatus();
+  if (!durability.ok()) {
+    std::fprintf(stderr, "recovery failed: %s\n",
+                 durability.ToString().c_str());
+    return 1;
+  }
   Stopwatch watch;
   Microblog blog;
   uint64_t count = 0;
@@ -261,7 +307,7 @@ int CmdReplay(const Flags& flags) {
       std::fprintf(stderr, "%s\n", s.ToString().c_str());
       return 1;
     }
-    blog.id = kInvalidMicroblogId;  // store assigns fresh ids
+    blog.id = kInvalidMicroblogId;  // the deployment assigns fresh ids
     s = store.Insert(std::move(blog));
     if (!s.ok()) {
       std::fprintf(stderr, "%s\n", s.ToString().c_str());
@@ -270,19 +316,31 @@ int CmdReplay(const Flags& flags) {
     ++count;
   }
   const double secs = watch.ElapsedSeconds();
-  std::printf("replayed %llu microblogs in %.2fs (%.0f/s) under %s\n",
+  std::printf("replayed %llu microblogs in %.2fs (%.0f/s) under %s "
+              "(shards=%zu)\n",
               static_cast<unsigned long long>(count), secs,
               secs > 0 ? static_cast<double>(count) / secs : 0.0,
-              store.policy()->name());
-  std::printf("%s\n", store.tracker().ToString().c_str());
+              store.shard(0)->policy()->name(), store.num_shards());
+  PrintShardMemory(store);
   std::printf("flushes: %llu | policy: %s\n",
               static_cast<unsigned long long>(
-                  store.ingest_stats().flush_triggers),
-              store.policy()->stats().ToString().c_str());
-  std::printf("terms=%zu k_filled=%zu\n", store.policy()->NumTerms(),
-              store.policy()->NumKFilledTerms());
-  if (store.wal() != nullptr) {
-    const WriteAheadLog::Stats wal = store.wal()->stats();
+                  store.AggregatedIngestStats().flush_triggers),
+              store.AggregatedPolicyStats().ToString().c_str());
+  std::printf("terms=%zu k_filled=%zu\n", store.NumTerms(),
+              store.NumKFilledTerms());
+  WriteAheadLog::Stats wal;
+  bool durable = false;
+  for (size_t i = 0; i < store.num_shards(); ++i) {
+    if (store.shard(i)->wal() == nullptr) continue;
+    durable = true;
+    const WriteAheadLog::Stats s = store.shard(i)->wal()->stats();
+    wal.records_appended += s.records_appended;
+    wal.bytes_appended += s.bytes_appended;
+    wal.commits += s.commits;
+    wal.fsyncs += s.fsyncs;
+    wal.fsync_micros.Merge(s.fsync_micros);
+  }
+  if (durable) {
     std::printf(
         "wal: %llu appends, %llu bytes, %llu commits, %llu fsyncs "
         "(p50 %lluus p99 %lluus)\n",
@@ -830,7 +888,8 @@ void Usage() {
       "commands:\n"
       "  gen-trace  --out FILE --count N [--seed S] [--vocab V] [--zipf Z]\n"
       "  replay     --trace FILE [--policy P] [--k K] [--memory-mb M]\n"
-      "  recover    --durable-dir DIR [--policy P] [--k K]\n"
+      "             [--shards N]\n"
+      "  recover    --durable-dir DIR [--policy P] [--k K] [--shards N]\n"
       "  experiment [--policy P] [--workload correlated|uniform]\n"
       "             [--attribute keyword|spatial|user] [--k K]\n"
       "             [--memory-mb M] [--flush-pct B] [--queries N] [--seed S]\n"

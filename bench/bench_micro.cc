@@ -70,7 +70,7 @@ void BM_InvertedIndexQuery(benchmark::State& state) {
   for (MicroblogId id = 0; id < 200000; ++id) {
     index.Insert(zipf.Sample(&rng), id, static_cast<double>(id), id, 0);
   }
-  std::vector<MicroblogId> out;
+  std::vector<Posting> out;
   for (auto _ : state) {
     out.clear();
     index.Query(zipf.Sample(&rng), 20, 1, &out);

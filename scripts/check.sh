@@ -2,12 +2,16 @@
 # Repo verification gate: tier-1 suite plus the sanitizer jobs that guard
 # the concurrency paths (docs/INTERNALS.md, "Threading model & sanitizers").
 #
-# Usage:  scripts/check.sh [tier1|tsan|asan|stress|crash|subs|bench-smoke|
-#                           net-smoke|ops-smoke|all]   (default: all)
+# Usage:  scripts/check.sh [tier1|release|tsan|asan|stress|crash|subs|
+#                           bench-smoke|net-smoke|ops-smoke|all]
+#                           (default: all)
 #
 # Jobs (each one is what CI runs as a separate job):
 #   tier1       - every perf-gate baseline is tracked by git, then the
 #                 plain RelWithDebInfo build and the full ctest suite
+#   release     - compile only: every target (tests, benches, examples,
+#                 tools) at Release (-O3) with -Werror, so diagnostics that
+#                 only the optimizer emits fail too; runs no ctest
 #   tsan        - ThreadSanitizer build, full suite + stress harness, time-boxed
 #   asan        - ASan+UBSan build, full suite + stress harness, time-boxed
 #   stress      - just `ctest -L stress` under both sanitizers (quick race gate)
@@ -118,6 +122,11 @@ job_tier1() {
   note "tier1: shard matrix (KFLUSH_TEST_SHARDS=1)"
   KFLUSH_TEST_SHARDS=1 timeout "${STRESS_TIMEOUT}" \
       ctest --test-dir build -L shards --output-on-failure
+}
+
+job_release() {
+  note "release: every target at -O3 with -Werror (compile only)"
+  build release
 }
 
 job_tsan() {
@@ -357,10 +366,12 @@ job_ops_smoke() {
 run_job() { "job_${1//-/_}" || FAILED+=("$1"); }
 
 case "${1:-all}" in
-  tier1|tsan|asan|stress|crash|subs|bench-smoke|net-smoke|ops-smoke) run_job "$1" ;;
-  all) run_job tier1; run_job tsan; run_job asan; run_job crash
-       run_job subs; run_job bench-smoke; run_job net-smoke; run_job ops-smoke ;;
-  *) echo "usage: $0 [tier1|tsan|asan|stress|crash|subs|bench-smoke|net-smoke|ops-smoke|all]" >&2
+  tier1|release|tsan|asan|stress|crash|subs|bench-smoke|net-smoke|ops-smoke)
+    run_job "$1" ;;
+  all) run_job tier1; run_job release; run_job tsan; run_job asan
+       run_job crash; run_job subs; run_job bench-smoke; run_job net-smoke
+       run_job ops-smoke ;;
+  *) echo "usage: $0 [tier1|release|tsan|asan|stress|crash|subs|bench-smoke|net-smoke|ops-smoke|all]" >&2
      exit 2 ;;
 esac
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "core/topk_merge.h"
 #include "core/trace.h"
@@ -25,11 +23,237 @@ bool DiskCannotOutrank(MicroblogStore* store, TermId term, double score) {
   double disk_max = 0.0;
   return !store->disk()->MaxTermScore(term, &disk_max) || score > disk_max;
 }
+
+/// Appends up to `limit` of `term`'s disk postings on `store` to `out`,
+/// counting the read in `*reads` (the query's own disk term reads).
+Status ReadDiskTerm(MicroblogStore* store, TermId term, size_t limit,
+                    std::vector<Posting>* out, uint64_t* reads) {
+  ++*reads;
+  return store->disk()->QueryTerm(term, limit, out);
+}
+
+/// The candidate source of a list that is complete before
+/// materialization starts (single and OR).
+struct NoMoreCandidates {
+  bool Next(Posting*) { return false; }
+};
+
+/// AND, memory side (§IV-D's record-based rule): walks the union of the
+/// query terms' in-memory lists in rank order and yields, once each, the
+/// records that carry every query term. A record present in every term's
+/// list qualifies without a record read; any other is checked against
+/// the record on the owner of the first list holding it (a record flushed
+/// meanwhile fails the check).
+class MemoryUnionWalk {
+ public:
+  MemoryUnionWalk(const std::vector<std::vector<Posting>>& lists,
+                  const std::vector<TermId>& terms,
+                  const std::vector<MicroblogStore*>& term_owner)
+      : lists_(lists),
+        terms_(terms),
+        term_owner_(term_owner),
+        pos_(lists.size(), 0) {}
+
+  bool Next(Posting* out) {
+    const size_t n = lists_.size();
+    while (true) {
+      const Posting* best = nullptr;
+      for (size_t i = 0; i < n; ++i) {
+        if (pos_[i] < lists_[i].size() &&
+            (best == nullptr || RanksBefore(lists_[i][pos_[i]], *best))) {
+          best = &lists_[i][pos_[i]];
+        }
+      }
+      if (best == nullptr) return false;
+      const Posting head = *best;
+      // A record has one score, so every list holding it has it at its
+      // head now; step each of them past it.
+      size_t holders = 0;
+      size_t first = n;
+      for (size_t i = 0; i < n; ++i) {
+        const std::vector<Posting>& list = lists_[i];
+        if (pos_[i] == list.size() || list[pos_[i]].id != head.id) continue;
+        if (first == n) first = i;
+        ++holders;
+        while (pos_[i] < list.size() && list[pos_[i]].id == head.id) {
+          ++pos_[i];
+        }
+      }
+      if (holders == n || CarriesEveryTerm(term_owner_[first], head.id)) {
+        *out = head;
+        return true;
+      }
+    }
+  }
+
+ private:
+  bool CarriesEveryTerm(MicroblogStore* store, MicroblogId id) {
+    bool has_all = false;
+    store->raw_store()->With(id, [&](const Microblog& blog) {
+      store->extractor()->ExtractTerms(blog, &record_terms_);
+      has_all = std::all_of(terms_.begin(), terms_.end(), [&](TermId t) {
+        return std::find(record_terms_.begin(), record_terms_.end(), t) !=
+               record_terms_.end();
+      });
+    });
+    return has_all;
+  }
+
+  const std::vector<std::vector<Posting>>& lists_;
+  const std::vector<TermId>& terms_;
+  const std::vector<MicroblogStore*>& term_owner_;
+  std::vector<size_t> pos_;
+  std::vector<TermId> record_terms_;
+};
+
+/// One AND term's postings over both tiers: its memory list and its disk
+/// list, each in rank order, read as one rank-ordered list in which a
+/// record present in both appears once.
+class TermCursor {
+ public:
+  TermCursor(const std::vector<Posting>* memory,
+             const std::vector<Posting>* disk)
+      : memory_(memory), disk_(disk) {}
+
+  bool done() const { return m_ == memory_->size() && d_ == disk_->size(); }
+
+  /// The best-ranked posting not yet passed. Requires !done().
+  const Posting& head() const {
+    if (m_ == memory_->size()) return (*disk_)[d_];
+    if (d_ == disk_->size()) return (*memory_)[m_];
+    return RanksBefore((*disk_)[d_], (*memory_)[m_]) ? (*disk_)[d_]
+                                                      : (*memory_)[m_];
+  }
+
+  /// Steps past head()'s record in both lists.
+  void Next() {
+    const MicroblogId id = head().id;
+    while (m_ < memory_->size() && (*memory_)[m_].id == id) ++m_;
+    while (d_ < disk_->size() && (*disk_)[d_].id == id) ++d_;
+  }
+
+  /// Steps past every posting that ranks before `target`. Linearly: each
+  /// list was read whole, so a galloping seek could not beat the read
+  /// that filled it.
+  void SkipBefore(const Posting& target) {
+    while (m_ < memory_->size() && RanksBefore((*memory_)[m_], target)) ++m_;
+    while (d_ < disk_->size() && RanksBefore((*disk_)[d_], target)) ++d_;
+  }
+
+ private:
+  const std::vector<Posting>* memory_;
+  const std::vector<Posting>* disk_;
+  size_t m_ = 0;
+  size_t d_ = 0;
+};
+
+/// AND, exact: leapfrog intersection of the terms' cursors, yielding the
+/// records common to all of them in rank order.
+class CursorIntersection {
+ public:
+  explicit CursorIntersection(std::vector<TermCursor> cursors)
+      : cursors_(std::move(cursors)) {}
+
+  bool Next(Posting* out) {
+    while (true) {
+      // The worst-ranked head is the best record every cursor could
+      // still share: seek all of them to it.
+      const Posting* worst = nullptr;
+      for (const TermCursor& c : cursors_) {
+        if (c.done()) return false;
+        if (worst == nullptr || RanksBefore(*worst, c.head())) {
+          worst = &c.head();
+        }
+      }
+      const Posting target = *worst;
+      bool common = true;
+      for (TermCursor& c : cursors_) {
+        c.SkipBefore(target);
+        if (c.done()) return false;
+        common = common && c.head().id == target.id;
+      }
+      if (common) {
+        for (TermCursor& c : cursors_) c.Next();
+        *out = target;
+        return true;
+      }
+    }
+  }
+
+ private:
+  std::vector<TermCursor> cursors_;
+};
+
+/// Fetches the answer: `ranked` (distinct records, in rank order), then
+/// whatever `more` yields, until k records are found. Each record comes
+/// from the first of `owners` whose raw store, else disk, holds it; a
+/// record found nowhere is in flight between memory and disk (a
+/// concurrent flush) and the next candidate takes its place.
+template <typename Source>
+Status Materialize(const std::vector<Posting>& ranked, Source* more,
+                   uint32_t k, const std::vector<MicroblogStore*>& owners,
+                   QueryResult* result) {
+  std::vector<std::vector<MicroblogId>> memory_ids(owners.size());
+  Posting extra;
+  for (size_t next = 0; result->results.size() < k; ++next) {
+    const Posting* c = &extra;
+    if (next < ranked.size()) {
+      c = &ranked[next];
+    } else if (!more->Next(&extra)) {
+      break;
+    }
+    // A record carries every term it was routed under, so its copy lives
+    // on each owner that indexed it: resident there, or on that owner's
+    // disk once fully evicted from it.
+    bool found = false;
+    for (size_t i = 0; i < owners.size() && !found; ++i) {
+      auto blog = owners[i]->raw_store()->Get(c->id);
+      if (blog.has_value()) {
+        result->results.push_back(std::move(*blog));
+        memory_ids[i].push_back(c->id);
+        ++result->from_memory;
+        found = true;
+      }
+    }
+    for (size_t i = 0; i < owners.size() && !found; ++i) {
+      Microblog from_disk;
+      Status s = owners[i]->disk()->GetRecord(c->id, &from_disk);
+      if (s.ok()) {
+        result->results.push_back(std::move(from_disk));
+        ++result->from_disk;
+        found = true;
+      } else if (!s.IsNotFound()) {
+        return s;
+      }
+    }
+  }
+  for (size_t i = 0; i < owners.size(); ++i) {
+    owners[i]->policy()->OnResultAccess(memory_ids[i]);
+  }
+  return Status::OK();
+}
+
+/// Pulls candidates from `source` until `out` holds k of them.
+template <typename Source>
+void TakeTopK(Source* source, uint32_t k, std::vector<Posting>* out) {
+  Posting p;
+  while (out->size() < k && source->Next(&p)) out->push_back(p);
+}
 }  // namespace
+
+QueryEngine::Cost::Cost() : start(MonotonicMicros()), last(start) {}
+
+void QueryEngine::Cost::Charge(Stage stage) {
+  const Timestamp now = MonotonicMicros();
+  stage_micros[stage] += now - last;
+  last = now;
+}
 
 QueryEngine::Shard::Shard(MicroblogStore* s) : store(s) {
   MetricsRegistry* registry = store->metrics_registry();
   static constexpr const char* kOutcome[2] = {"miss", "hit"};
+  static constexpr const char* kStageName[kNumStages] = {
+      "postings", "disk", "merge", "materialize"};
   for (int t = 0; t < 3; ++t) {
     for (int o = 0; o < 2; ++o) {
       latency_by_type[t][o] = registry->histogram(
@@ -41,6 +265,10 @@ QueryEngine::Shard::Shard(MicroblogStore* s) : store(s) {
         std::string("query.latency_micros.spatial.") + kOutcome[o]);
     latency_user[o] = registry->histogram(
         std::string("query.latency_micros.user.") + kOutcome[o]);
+  }
+  for (int stage = 0; stage < kNumStages; ++stage) {
+    stage_micros[stage] = registry->histogram(
+        std::string("query.stage_micros.") + kStageName[stage]);
   }
   queries = registry->counter("query.executed");
   hits = registry->counter("query.memory_hits");
@@ -58,122 +286,70 @@ QueryEngine::QueryEngine(std::vector<MicroblogStore*> stores)
   for (MicroblogStore* store : stores) shards_.emplace_back(store);
 }
 
-uint64_t QueryEngine::DiskTermQueries() const {
-  uint64_t total = 0;
-  for (const Shard& shard : shards_) {
-    total += shard.store->disk()->stats().term_queries;
-  }
-  return total;
-}
-
-void QueryEngine::MemoryPostings(MicroblogStore* store, TermId term,
-                                 size_t limit, std::vector<Scored>* out) {
-  std::vector<MicroblogId> ids;
-  store->policy()->QueryTerm(term, limit, &ids, /*record_access=*/true);
-  const RankingFunction* ranking = store->ranking();
-  for (MicroblogId id : ids) {
-    // Recompute the arrival-time score from the record; a record flushed
-    // between the index read and here is simply skipped (its posting is
-    // already registered on disk).
-    store->raw_store()->With(id, [&](const Microblog& blog) {
-      out->push_back({ranking->Score(blog), id});
-    });
-  }
-}
-
-Status QueryEngine::Materialize(std::vector<Scored> candidates, uint32_t k,
-                                const std::vector<MicroblogStore*>& owners,
-                                QueryResult* result) {
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Scored& a, const Scored& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.id > b.id;
-            });
-  std::unordered_set<MicroblogId> seen;
-  std::vector<std::vector<MicroblogId>> memory_ids(owners.size());
-  for (const Scored& c : candidates) {
-    if (result->results.size() >= k) break;
-    if (!seen.insert(c.id).second) continue;
-    // A record carries every term it was routed under, so its copy lives
-    // on each owner that indexed it: resident there, or on that owner's
-    // disk once fully evicted from it.
-    bool found = false;
-    for (size_t i = 0; i < owners.size() && !found; ++i) {
-      auto blog = owners[i]->raw_store()->Get(c.id);
-      if (blog.has_value()) {
-        result->results.push_back(std::move(*blog));
-        memory_ids[i].push_back(c.id);
-        ++result->from_memory;
-        found = true;
-      }
-    }
-    for (size_t i = 0; i < owners.size() && !found; ++i) {
-      Microblog from_disk;
-      Status s = owners[i]->disk()->GetRecord(c.id, &from_disk);
-      if (s.ok()) {
-        result->results.push_back(std::move(from_disk));
-        ++result->from_disk;
-        found = true;
-      } else if (!s.IsNotFound()) {
-        return s;
-      }
-    }
-    // Not found anywhere: the record is in flight between memory and disk
-    // (flush buffer); skip it — the next candidate takes its place.
-  }
-  for (size_t i = 0; i < owners.size(); ++i) {
-    owners[i]->policy()->OnResultAccess(memory_ids[i]);
-  }
-  return Status::OK();
-}
-
 Result<QueryResult> QueryEngine::EvaluateOnOwner(
     MicroblogStore* store, const std::vector<TermId>& terms, uint32_t k,
-    bool force_disk, bool* unproven) {
+    bool force_disk, Cost* cost) {
   QueryResult result;
-  std::vector<Scored> candidates;
+  // Each term's best k memory postings, scores included; term i's are
+  // candidates[ends[i - 1], ends[i]).
+  std::vector<Posting> candidates;
+  std::vector<size_t> ends(terms.size());
+  for (size_t i = 0; i < terms.size(); ++i) {
+    store->policy()->QueryTerm(terms[i], k, &candidates,
+                               /*record_access=*/true);
+    ends[i] = candidates.size();
+  }
+  cost->Charge(kPostings);
+
   std::vector<TermId> disk_terms;  // terms whose disk top-k joins the answer
   bool all_k_filled = true;
   bool needs_proof = false;
-  std::vector<Scored> mem;
-  for (TermId term : terms) {
-    mem.clear();
-    MemoryPostings(store, term, k, &mem);
-    if (mem.size() < k) {
+  bool checked_disk = false;
+  for (size_t i = 0; i < terms.size(); ++i) {
+    const size_t held = ends[i] - (i == 0 ? 0 : ends[i - 1]);
+    if (held < k) {
       all_k_filled = false;
-      disk_terms.push_back(term);
+      disk_terms.push_back(terms[i]);
     } else if (force_disk) {
-      disk_terms.push_back(term);
+      disk_terms.push_back(terms[i]);
     } else {
       // The term's k-th memory posting must beat its best disk posting,
       // or the disk may hold part of the term's top-k.
-      double kth = mem[0].score;
-      for (const Scored& s : mem) kth = std::min(kth, s.score);
-      if (!DiskCannotOutrank(store, term, kth)) {
+      checked_disk = true;
+      if (!DiskCannotOutrank(store, terms[i], candidates[ends[i] - 1].score)) {
         needs_proof = true;
-        disk_terms.push_back(term);
+        disk_terms.push_back(terms[i]);
       }
     }
-    candidates.insert(candidates.end(), mem.begin(), mem.end());
   }
   // OR hit rule (§IV-D): every term holds k in memory (single: the term).
   result.memory_hit = all_k_filled && !force_disk;
-  *unproven = result.memory_hit && needs_proof;
+  cost->unproven = result.memory_hit && needs_proof;
   for (TermId term : disk_terms) {
-    std::vector<Posting> disk_postings;
-    KFLUSH_RETURN_IF_ERROR(store->disk()->QueryTerm(term, k, &disk_postings));
-    for (const Posting& p : disk_postings) {
-      candidates.push_back({p.score, p.id});
-    }
+    KFLUSH_RETURN_IF_ERROR(
+        ReadDiskTerm(store, term, k, &candidates, &cost->disk_term_reads));
   }
-  KFLUSH_RETURN_IF_ERROR(
-      Materialize(std::move(candidates), k, {store}, &result));
+  if (checked_disk || !disk_terms.empty()) cost->Charge(kDisk);
+
+  std::sort(candidates.begin(), candidates.end(), RanksBefore);
+  // A record under two of the terms (or on both tiers) sits twice in a
+  // row: keep one.
+  candidates.erase(std::unique(candidates.begin(), candidates.end(),
+                               [](const Posting& a, const Posting& b) {
+                                 return a.id == b.id;
+                               }),
+                   candidates.end());
+  cost->Charge(kMerge);
+
+  NoMoreCandidates none;
+  KFLUSH_RETURN_IF_ERROR(Materialize(candidates, &none, k, {store}, &result));
+  cost->Charge(kMaterialize);
   return result;
 }
 
 Result<QueryResult> QueryEngine::EvaluateOr(const std::vector<TermId>& terms,
                                             uint32_t k, bool force_disk,
-                                            bool* unproven) {
+                                            Cost* cost) {
   // Group terms by owning shard, preserving term order within a group and
   // first-touch order across groups.
   std::vector<std::vector<TermId>> groups(shards_.size());
@@ -186,7 +362,7 @@ Result<QueryResult> QueryEngine::EvaluateOr(const std::vector<TermId>& terms,
   if (order.size() == 1) {
     // All terms colocated: the owning shard's answer IS the answer.
     return EvaluateOnOwner(shards_[order[0]].store, groups[order[0]], k,
-                           force_disk, unproven);
+                           force_disk, cost);
   }
 
   QueryResult merged;
@@ -195,20 +371,19 @@ Result<QueryResult> QueryEngine::EvaluateOr(const std::vector<TermId>& terms,
   std::vector<std::vector<Microblog>> lists;
   lists.reserve(order.size());
   for (size_t owner : order) {
-    bool needs_proof = false;
     Result<QueryResult> r = EvaluateOnOwner(shards_[owner].store,
                                             groups[owner], k, force_disk,
-                                            &needs_proof);
+                                            cost);
     if (!r.ok()) return r.status();
     // The OR hit rule (every term holds >= k in memory) distributes over
     // the partition: the query is a hit iff every group is.
     merged.memory_hit = merged.memory_hit && r->memory_hit;
-    group_unproven = group_unproven || needs_proof;
+    group_unproven = group_unproven || cost->unproven;
     merged.from_memory += r->from_memory;
     merged.from_disk += r->from_disk;
     lists.push_back(std::move(r->results));
   }
-  *unproven = merged.memory_hit && group_unproven;
+  cost->unproven = merged.memory_hit && group_unproven;
 
   const RankingFunction* ranking = shards_[0].store->ranking();
   merged.results = BoundedTopKMerge(
@@ -220,12 +395,13 @@ Result<QueryResult> QueryEngine::EvaluateOr(const std::vector<TermId>& terms,
         return a.id > b.id;
       },
       [](const Microblog& a, const Microblog& b) { return a.id == b.id; });
+  cost->Charge(kMerge);
   return merged;
 }
 
 Result<QueryResult> QueryEngine::EvaluateAnd(const std::vector<TermId>& terms,
                                              uint32_t k, bool force_disk,
-                                             bool* unproven) {
+                                             Cost* cost) {
   QueryResult result;
   std::vector<MicroblogStore*> term_owner(terms.size());
   std::vector<MicroblogStore*> owners;  // distinct, in term order
@@ -236,82 +412,69 @@ Result<QueryResult> QueryEngine::EvaluateAnd(const std::vector<TermId>& terms,
       owners.push_back(term_owner[i]);
     }
   }
-  // Paper §IV-D: "we retrieve in-memory index entries of W1 and W2, scan
-  // their microblog ids lists, and any microblog that is associated with
-  // both W1 and W2 is added to Lm". "Associated with" is a property of
-  // the record, so the memory-side candidate set is the union of the
-  // lists filtered by record-term containment — a record trimmed from one
-  // entry but still memory-resident through another (the Figure 6 case)
-  // still qualifies.
-  std::vector<std::vector<Scored>> lists(terms.size());
+  // Every term's whole in-memory list. Read under force_disk too: the
+  // exact path below needs it, and the read stamps the term's last-query
+  // time (kFlushing Phase 3's key).
+  std::vector<std::vector<Posting>> memory(terms.size());
   for (size_t i = 0; i < terms.size(); ++i) {
-    MemoryPostings(term_owner[i], terms[i], kNoLimit, &lists[i]);
+    term_owner[i]->policy()->QueryTerm(terms[i], kNoLimit, &memory[i],
+                                       /*record_access=*/true);
   }
-  std::unordered_set<MicroblogId> considered;
-  std::vector<Scored> intersection;
-  std::vector<TermId> record_terms;
+  cost->Charge(kPostings);
+
+  std::vector<Posting> top;
+  if (!force_disk) {
+    // Paper §IV-D: "we retrieve in-memory index entries of W1 and W2, scan
+    // their microblog ids lists, and any microblog that is associated with
+    // both W1 and W2 is added to Lm". "Associated with" is a property of
+    // the record, so the memory-side candidates are the union of the
+    // lists filtered by record-term containment — a record trimmed from
+    // one entry but still memory-resident through another (the Figure 6
+    // case) still qualifies. Walked in rank order, the first k of them
+    // are their top-k.
+    MemoryUnionWalk walk(memory, terms, term_owner);
+    TakeTopK(&walk, k, &top);
+    cost->Charge(kMerge);
+    // AND hit rule: the in-memory candidate list already yields k results.
+    result.memory_hit = top.size() == k;
+    if (result.memory_hit) {
+      // A qualifying record missing from every memory list has each of
+      // its postings on disk, so it scores at most the smallest per-term
+      // disk maximum; a term with no disk posting rules it out altogether.
+      const double kth = top.back().score;
+      bool proven = false;
+      for (size_t i = 0; i < terms.size() && !proven; ++i) {
+        proven = DiskCannotOutrank(term_owner[i], terms[i], kth);
+      }
+      cost->Charge(kDisk);
+      if (proven) {
+        KFLUSH_RETURN_IF_ERROR(Materialize(top, &walk, k, owners, &result));
+        cost->Charge(kMaterialize);
+        return result;
+      }
+      cost->unproven = true;
+    }
+    top.clear();
+  }
+  // Exact: each term's memory and disk lists merge into one rank-ordered
+  // cursor, and the cursors intersect up to the k-th common record. Disk
+  // lists are read whole, one read per term.
+  std::vector<std::vector<Posting>> disk(terms.size());
   for (size_t i = 0; i < terms.size(); ++i) {
-    MicroblogStore* store = term_owner[i];
-    for (const Scored& s : lists[i]) {
-      if (!considered.insert(s.id).second) continue;
-      bool has_all = false;
-      store->raw_store()->With(s.id, [&](const Microblog& blog) {
-        record_terms.clear();
-        store->extractor()->ExtractTerms(blog, &record_terms);
-        has_all = true;
-        for (TermId t : terms) {
-          if (std::find(record_terms.begin(), record_terms.end(), t) ==
-              record_terms.end()) {
-            has_all = false;
-            break;
-          }
-        }
-      });
-      if (has_all) intersection.push_back(s);
-    }
+    KFLUSH_RETURN_IF_ERROR(ReadDiskTerm(term_owner[i], terms[i], kNoLimit,
+                                        &disk[i], &cost->disk_term_reads));
   }
-  // AND hit rule: the in-memory candidate list already yields k results.
-  result.memory_hit = intersection.size() >= k && !force_disk;
-  if (result.memory_hit) {
-    // A qualifying record missing from every memory list has each of its
-    // postings on disk, so it scores at most the smallest per-term disk
-    // maximum; a term with no disk posting rules it out altogether.
-    std::vector<double> scores;
-    scores.reserve(intersection.size());
-    for (const Scored& s : intersection) scores.push_back(s.score);
-    std::nth_element(scores.begin(), scores.begin() + (k - 1), scores.end(),
-                     std::greater<double>());
-    const double kth = scores[k - 1];
-    bool proven = false;
-    for (size_t i = 0; i < terms.size() && !proven; ++i) {
-      proven = DiskCannotOutrank(term_owner[i], terms[i], kth);
-    }
-    if (proven) {
-      KFLUSH_RETURN_IF_ERROR(
-          Materialize(std::move(intersection), k, owners, &result));
-      return result;
-    }
-    *unproven = true;
-  }
-  // Exact: each term's full list as memory ∪ disk, intersected.
-  std::vector<std::unordered_map<MicroblogId, double>> full(terms.size());
+  cost->Charge(kDisk);
+  std::vector<TermCursor> cursors;
+  cursors.reserve(terms.size());
   for (size_t i = 0; i < terms.size(); ++i) {
-    for (const Scored& s : lists[i]) full[i].emplace(s.id, s.score);
-    std::vector<Posting> disk_postings;
-    KFLUSH_RETURN_IF_ERROR(
-        term_owner[i]->disk()->QueryTerm(terms[i], kNoLimit, &disk_postings));
-    for (const Posting& p : disk_postings) full[i].emplace(p.id, p.score);
+    cursors.emplace_back(&memory[i], &disk[i]);
   }
-  std::vector<Scored> candidates;
-  for (const auto& [id, score] : full[0]) {
-    bool in_all = true;
-    for (size_t i = 1; i < full.size() && in_all; ++i) {
-      in_all = full[i].count(id) != 0;
-    }
-    if (in_all) candidates.push_back({score, id});
-  }
-  KFLUSH_RETURN_IF_ERROR(
-      Materialize(std::move(candidates), k, owners, &result));
+  CursorIntersection common(std::move(cursors));
+  TakeTopK(&common, k, &top);
+  cost->Charge(kMerge);
+  KFLUSH_RETURN_IF_ERROR(Materialize(top, &common, k, owners, &result));
+  cost->Charge(kMaterialize);
   return result;
 }
 
@@ -332,32 +495,32 @@ Result<QueryResult> QueryEngine::Execute(const TopKQuery& query) {
                  {TraceArg::Uint("terms", query.terms.size()),
                   TraceArg::Uint("k", k),
                   TraceArg::Uint("shards", shards_.size())});
-  Stopwatch watch;
-  const uint64_t disk_reads_before = DiskTermQueries();
-  bool unproven = false;
+  Cost cost;
   Result<QueryResult> result =
       query.type == QueryType::kAnd
-          ? EvaluateAnd(query.terms, k, query.force_disk, &unproven)
-          : EvaluateOr(query.terms, k, query.force_disk, &unproven);
+          ? EvaluateAnd(query.terms, k, query.force_disk, &cost)
+          : EvaluateOr(query.terms, k, query.force_disk, &cost);
   if (!result.ok()) {
     span.End({TraceArg::Str("outcome", "error")});
     return result;
   }
-  const uint64_t disk_reads = DiskTermQueries() - disk_reads_before;
-  const uint64_t micros = watch.ElapsedMicros();
+  const uint64_t micros = cost.last - cost.start;
   Shard& recorder = OwnerOf(query.terms[0]);
   const bool hit = result->memory_hit;
   recorder.latency_by_type[static_cast<int>(query.type)][hit ? 1 : 0]->Record(
       micros);
+  for (int stage = 0; stage < kNumStages; ++stage) {
+    recorder.stage_micros[stage]->Record(cost.stage_micros[stage]);
+  }
   recorder.queries->Increment();
   (hit ? recorder.hits : recorder.misses)->Increment();
-  if (unproven) recorder.unproven_hits->Increment();
-  recorder.disk_term_reads->Add(disk_reads);
+  if (cost.unproven) recorder.unproven_hits->Increment();
+  recorder.disk_term_reads->Add(cost.disk_term_reads);
   span.End({TraceArg::Str("outcome", hit ? "hit" : "miss"),
-            TraceArg::Uint("unproven", unproven ? 1 : 0),
+            TraceArg::Uint("unproven", cost.unproven ? 1 : 0),
             TraceArg::Uint("from_memory", result->from_memory),
             TraceArg::Uint("from_disk", result->from_disk),
-            TraceArg::Uint("disk_term_reads", disk_reads)});
+            TraceArg::Uint("disk_term_reads", cost.disk_term_reads)});
   return result;
 }
 

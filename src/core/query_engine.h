@@ -21,17 +21,25 @@
 // therefore the exact top-k in (score desc, id desc) order, at every
 // shard count.
 //
-// How a query runs:
+// How a query runs. Every posting list, in memory and on disk, is kept in
+// (score desc, id desc) order with the score fixed at arrival (§IV-B), so
+// evaluation walks the lists in rank order, takes scores from the
+// postings, and stops at the k-th qualifying record:
 //
 //   single : on the term's owner.
 //   OR     : terms group by owner; each group is answered on its store,
 //            and two or more group answers k-way-merge (BoundedTopKMerge).
-//   AND    : each term's in-memory list is read on its owner; a miss (or
-//            an unproven hit) intersects each term's memory ∪ disk list.
+//   AND    : each term's in-memory list is read on its owner and the
+//            lists' union is walked in rank order up to the k-th record
+//            carrying every term (a record in every list qualifies
+//            without a record read). A miss (or an unproven hit) merges
+//            each term's memory and disk lists into one cursor and
+//            leapfrog-intersects the cursors up to the k-th common record.
 //
-// Each query is recorded once — type, memory hit, disk term reads,
-// latency — in the query.* series of the registry of its first term's
-// owner, so the aggregated series count queries, not shard visits.
+// Each query is recorded once — type, memory hit, the disk term reads it
+// issued, latency and its split into stages — in the query.* series of
+// the registry of its first term's owner, so the aggregated series count
+// queries, not shard visits.
 
 #ifndef KFLUSH_CORE_QUERY_ENGINE_H_
 #define KFLUSH_CORE_QUERY_ENGINE_H_
@@ -108,9 +116,27 @@ class QueryEngine {
   MicroblogStore* store(size_t shard) const { return shards_[shard].store; }
 
  private:
-  struct Scored {
-    double score;
-    MicroblogId id;
+  /// The parts of a query's wall time, recorded as
+  /// query.stage_micros.<name>: reading in-memory postings, the disk tier
+  /// (term reads and MaxTermScore proofs), rank-order walks, sorts and
+  /// merges, and fetching the answer's records.
+  enum Stage : int { kPostings = 0, kDisk, kMerge, kMaterialize, kNumStages };
+
+  /// One Execute's bookkeeping, threaded through evaluation. Charge()
+  /// reads the clock once and charges the interval since the previous
+  /// read to one stage, so the stage totals add up exactly to the query's
+  /// latency (`last - start`).
+  struct Cost {
+    Cost();
+    void Charge(Stage stage);
+
+    Timestamp start;
+    Timestamp last;
+    uint64_t stage_micros[kNumStages] = {};
+    /// Disk QueryTerm calls this query issued.
+    uint64_t disk_term_reads = 0;
+    /// A hit whose memory top-k could not be proven (see Hit rules).
+    bool unproven = false;
   };
 
   /// One shard store and its query.* instruments (get-or-create, resolved
@@ -126,6 +152,7 @@ class QueryEngine {
     ConcurrentHistogram* latency_by_type[3][2];
     ConcurrentHistogram* latency_spatial[2];
     ConcurrentHistogram* latency_user[2];
+    ConcurrentHistogram* stage_micros[kNumStages];
     Counter* queries;
     Counter* hits;
     Counter* misses;
@@ -135,33 +162,16 @@ class QueryEngine {
 
   Shard& OwnerOf(TermId term) { return shards_[router_.ShardForTerm(term)]; }
 
-  /// Disk term queries issued so far by every shard's disk tier (the
-  /// delta around a query is its disk-read cost; exact when queries don't
-  /// race, advisory under concurrency).
-  uint64_t DiskTermQueries() const;
-
-  /// Single and OR. Sets `*unproven` on a hit whose answer needed disk.
+  /// Single and OR.
   Result<QueryResult> EvaluateOr(const std::vector<TermId>& terms, uint32_t k,
-                                 bool force_disk, bool* unproven);
+                                 bool force_disk, Cost* cost);
   /// The OR of `terms`, all owned by `store`.
   Result<QueryResult> EvaluateOnOwner(MicroblogStore* store,
                                       const std::vector<TermId>& terms,
                                       uint32_t k, bool force_disk,
-                                      bool* unproven);
+                                      Cost* cost);
   Result<QueryResult> EvaluateAnd(const std::vector<TermId>& terms, uint32_t k,
-                                  bool force_disk, bool* unproven);
-
-  /// Fetches term postings from `store`'s memory as (score, id); scores
-  /// recomputed through the ranking function.
-  static void MemoryPostings(MicroblogStore* store, TermId term, size_t limit,
-                             std::vector<Scored>* out);
-
-  /// Sorts `candidates` (score desc, id desc), dedups, and materializes
-  /// the top k from the first of `owners` whose raw store, else disk,
-  /// holds each record.
-  static Status Materialize(std::vector<Scored> candidates, uint32_t k,
-                            const std::vector<MicroblogStore*>& owners,
-                            QueryResult* result);
+                                  bool force_disk, Cost* cost);
 
   /// Records one end-to-end surface sample in the spatial or user
   /// histogram pair of `term`'s owner.

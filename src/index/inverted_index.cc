@@ -1,7 +1,5 @@
 #include "index/inverted_index.h"
 
-#include <algorithm>
-
 namespace kflush {
 
 namespace {
@@ -38,34 +36,22 @@ IndexInsertResult InvertedIndex::Insert(TermId term, MicroblogId id,
 }
 
 size_t InvertedIndex::Query(TermId term, size_t limit, Timestamp now,
-                            std::vector<MicroblogId>* out) {
+                            std::vector<Posting>* out) {
   Shard& shard = ShardFor(term);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.entries.find(term);
   if (it == shard.entries.end()) return 0;
   it->second.last_query = now;
-  return it->second.postings.TopIds(limit, out);
+  return it->second.postings.Top(limit, out);
 }
 
 size_t InvertedIndex::Peek(TermId term, size_t limit,
-                           std::vector<MicroblogId>* out) const {
+                           std::vector<Posting>* out) const {
   const Shard& shard = ShardFor(term);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.entries.find(term);
   if (it == shard.entries.end()) return 0;
-  return it->second.postings.TopIds(limit, out);
-}
-
-size_t InvertedIndex::PeekPostings(TermId term, size_t limit,
-                                   std::vector<Posting>* out) const {
-  const Shard& shard = ShardFor(term);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.entries.find(term);
-  if (it == shard.entries.end()) return 0;
-  const PostingList& list = it->second.postings;
-  const size_t n = std::min(limit, list.size());
-  for (size_t i = 0; i < n; ++i) out->push_back(list.at(i));
-  return n;
+  return it->second.postings.Top(limit, out);
 }
 
 size_t InvertedIndex::EntrySize(TermId term) const {

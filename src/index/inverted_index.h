@@ -133,20 +133,16 @@ class InvertedIndex {
                            const TopKChargeFn& on_charge = {},
                            const TopKChargeFn& on_uncharge = {});
 
-  /// Appends up to `limit` best-ranked ids for `term` to `out` and stamps
-  /// the entry's last-query time with `now`. Returns the count appended
-  /// (0 if the term has no entry).
+  /// Appends up to `limit` best-ranked postings for `term` to `out`, in
+  /// (score desc, id desc) order, and stamps the entry's last-query time
+  /// with `now`. Returns the count appended (0 if the term has no entry).
   size_t Query(TermId term, size_t limit, Timestamp now,
-               std::vector<MicroblogId>* out);
+               std::vector<Posting>* out);
 
-  /// Like Query but does not touch last-query time (policy internals,
-  /// tests). Safe to call concurrently with everything else.
-  size_t Peek(TermId term, size_t limit, std::vector<MicroblogId>* out) const;
-
-  /// Like Peek but returns full postings (id + score); used by the
-  /// segmented index to merge segment lists exactly under any ranking.
-  size_t PeekPostings(TermId term, size_t limit,
-                      std::vector<Posting>* out) const;
+  /// Like Query but does not touch last-query time (policy internals, the
+  /// segmented index's merge, tests). Safe to call concurrently with
+  /// everything else.
+  size_t Peek(TermId term, size_t limit, std::vector<Posting>* out) const;
 
   /// Number of postings under `term` (0 if absent).
   size_t EntrySize(TermId term) const;

@@ -14,10 +14,13 @@ void PostingList::Rebalance(size_t k, const TopKChargeFn& on_charge,
   RebalanceWith(k, MaybeChargeFn{on_charge}, MaybeChargeFn{on_uncharge});
 }
 
-size_t PostingList::TopIds(size_t limit, std::vector<MicroblogId>* out) const {
+size_t PostingList::Top(size_t limit, std::vector<Posting>* out) const {
   const size_t n = std::min(limit, store_.size());
   const uint64_t* ids = store_.ids();
-  out->insert(out->end(), ids, ids + n);
+  const double* scores = store_.scores();
+  const size_t base = out->size();
+  out->resize(base + n);
+  for (size_t i = 0; i < n; ++i) (*out)[base + i] = Posting{ids[i], scores[i]};
   return n;
 }
 

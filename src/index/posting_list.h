@@ -49,6 +49,13 @@ struct Posting {
   double score = 0.0;
 };
 
+/// The total order every posting list keeps, in memory and on disk, and
+/// every query answer is ranked by: score desc, then id desc.
+inline bool RanksBefore(const Posting& a, const Posting& b) {
+  if (a.score != b.score) return a.score > b.score;
+  return a.id > b.id;
+}
+
 /// Outcome of a PostingList insert, consumed by policies that track over-k
 /// entries (kFlushing's list L).
 struct PostingInsertResult {
@@ -133,9 +140,9 @@ class PostingList {
                              const TopKChargeFn& on_charge = {},
                              const TopKChargeFn& on_uncharge = {});
 
-  /// Appends the ids of up to `limit` best-ranked postings to `out`.
-  /// Returns the number appended.
-  size_t TopIds(size_t limit, std::vector<MicroblogId>* out) const;
+  /// Appends up to `limit` best-ranked postings (id and the score fixed
+  /// at arrival) to `out`. Returns the number appended.
+  size_t Top(size_t limit, std::vector<Posting>* out) const;
 
   /// Removes postings at positions >= k for which `should_trim` returns
   /// true (always true if `should_trim` is empty). Trimmed postings are

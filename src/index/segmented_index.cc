@@ -17,22 +17,16 @@ void SegmentedIndex::Insert(TermId term, MicroblogId id, double score,
 }
 
 size_t SegmentedIndex::Query(TermId term, size_t limit,
-                             std::vector<MicroblogId>* out) const {
+                             std::vector<Posting>* out) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   // Each segment's list is score-ordered; pull the per-segment top-`limit`
   // postings and merge by score. Under temporal ranking newer segments
   // strictly dominate older ones, but a general ranking can interleave.
-  std::vector<Posting> candidates;
-  for (const auto& segment : segments_) {
-    segment->PeekPostings(term, limit, &candidates);
-  }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Posting& a, const Posting& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.id > b.id;  // newer id first on score ties
-            });
-  const size_t n = std::min(limit, candidates.size());
-  for (size_t i = 0; i < n; ++i) out->push_back(candidates[i].id);
+  const size_t base = out->size();
+  for (const auto& segment : segments_) segment->Peek(term, limit, out);
+  std::sort(out->begin() + base, out->end(), RanksBefore);
+  const size_t n = std::min(limit, out->size() - base);
+  out->resize(base + n);
   return n;
 }
 

@@ -33,10 +33,11 @@ class SegmentedIndex {
   /// Inserts into the active (newest) segment.
   void Insert(TermId term, MicroblogId id, double score, Timestamp now);
 
-  /// Top-`limit` ids for `term` merged across all segments by score
-  /// (each segment's list is score-ordered; a k-way merge keeps global
-  /// order under any ranking function). Appends to `out`, returns count.
-  size_t Query(TermId term, size_t limit, std::vector<MicroblogId>* out) const;
+  /// Top-`limit` postings for `term` merged across all segments in
+  /// (score desc, id desc) order (each segment's list is score-ordered;
+  /// merging keeps global order under any ranking function). Appends to
+  /// `out`, returns count.
+  size_t Query(TermId term, size_t limit, std::vector<Posting>* out) const;
 
   /// Postings under `term` across all segments.
   size_t EntrySize(TermId term) const;

@@ -29,7 +29,7 @@ void FifoPolicy::Insert(const Microblog& blog, const std::vector<TermId>& terms,
 }
 
 size_t FifoPolicy::QueryTerm(TermId term, size_t limit,
-                             std::vector<MicroblogId>* out,
+                             std::vector<Posting>* out,
                              bool record_access) {
   // FIFO keeps no recency metadata; queries are pure reads.
   (void)record_access;

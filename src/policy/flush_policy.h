@@ -4,7 +4,7 @@
 // and implements three responsibilities:
 //
 //   1. ingest  — index a newly stored microblog,
-//   2. query   — serve best-ranked in-memory ids for a term,
+//   2. query   — serve best-ranked in-memory postings for a term,
 //   3. flush   — free at least the requested bytes, moving victims to disk
 //                through the shared raw store / flush buffer machinery.
 //
@@ -124,13 +124,14 @@ class FlushPolicy {
   virtual void Insert(const Microblog& blog, const std::vector<TermId>& terms,
                       double score) = 0;
 
-  /// Appends up to `limit` best-ranked in-memory ids for `term` to `out`;
-  /// returns the count appended. When `record_access` is true the call is
-  /// a user query and recency metadata is updated (last-query time for
-  /// kFlushing Phase 3, list touches for LRU).
+  /// Appends up to `limit` best-ranked in-memory postings for `term` to
+  /// `out` in (score desc, id desc) order — each the record id plus the
+  /// score fixed at its arrival (§IV-B), so readers never re-read the
+  /// record to rank it. Returns the count appended. When `record_access`
+  /// is true the call is a user query and recency metadata is updated
+  /// (last-query time for kFlushing Phase 3, list touches for LRU).
   virtual size_t QueryTerm(TermId term, size_t limit,
-                           std::vector<MicroblogId>* out,
-                           bool record_access) = 0;
+                           std::vector<Posting>* out, bool record_access) = 0;
 
   /// In-memory postings under `term` (the hit predicate's input).
   virtual size_t EntrySize(TermId term) const = 0;

@@ -67,7 +67,7 @@ void KFlushingPolicy::Insert(const Microblog& blog,
 }
 
 size_t KFlushingPolicy::QueryTerm(TermId term, size_t limit,
-                                  std::vector<MicroblogId>* out,
+                                  std::vector<Posting>* out,
                                   bool record_access) {
   if (record_access) {
     // Stamps the entry's last-query time — Phase 3's eviction key. Racing
@@ -278,11 +278,12 @@ size_t KFlushingPolicy::EvictEntry(TermId term, int phase, int64_t heap_rank,
   // set is computed before mutating so no index locks nest.
   std::function<bool(MicroblogId)> should_remove;  // default: remove all
   if (options_.mk_extension && phase == 2) {
-    std::vector<MicroblogId> ids;
-    index_.Peek(term, ~size_t{0}, &ids);
+    std::vector<Posting> postings;
+    index_.Peek(term, ~size_t{0}, &postings);
     auto keep = std::make_shared<std::unordered_set<MicroblogId>>();
     std::vector<TermId> other_terms;
-    for (MicroblogId id : ids) {
+    for (const Posting& posting : postings) {
+      const MicroblogId id = posting.id;
       // Copy the record's terms out under the raw-store shard lock, then
       // consult the index with no lock held. Probing the index from inside
       // With() would take index shard locks under a raw-store lock — the

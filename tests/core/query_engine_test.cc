@@ -260,11 +260,10 @@ TEST_F(QueryEngineTest, MetricsTrackHitsAndTypes) {
 }
 
 TEST_F(QueryEngineTest, DiskReadMetricIsExactlyTheDiskStatsDelta) {
-  // Disk-read accounting has a single source of truth: the delta of the
-  // disk store's own term_queries counter around each Execute call (the
-  // per-call shadow counters were dead code and are gone). Cross-check the
-  // metric against the disk tier's counter over a hit, a single-term miss,
-  // and an OR with one short term.
+  // Each query counts the disk term reads it issues itself; with one
+  // querying thread their sum is exactly the delta of the disk store's own
+  // term_queries counter. Cross-check the metric against the disk tier's
+  // counter over a hit, a single-term miss, and an OR with one short term.
   const uint64_t disk_before = store_.disk()->stats().term_queries;
 
   // Pure memory hit, no flush yet: the disk tier is never consulted.

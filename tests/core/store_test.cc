@@ -132,9 +132,10 @@ TEST(MicroblogStoreTest, PopularityRankingOrdersByScore) {
   nobody.follower_count = 0;
   ASSERT_TRUE(store.Insert(celebrity).ok());
   ASSERT_TRUE(store.Insert(nobody).ok());
-  std::vector<MicroblogId> ids;
-  store.policy()->QueryTerm(7, 2, &ids, false);
-  EXPECT_EQ(ids, (std::vector<MicroblogId>{1, 2}));  // celebrity first
+  std::vector<Posting> postings;
+  store.policy()->QueryTerm(7, 2, &postings, false);
+  EXPECT_EQ(testing_util::IdsOf(postings),
+            (std::vector<MicroblogId>{1, 2}));  // celebrity first
 }
 
 TEST(MicroblogStoreTest, ExternalClockUsed) {

@@ -37,13 +37,14 @@ TEST(InvertedIndexConcurrencyTest, ParallelInsertQueryTrim) {
 
   std::thread querier([&] {
     Rng rng(99);
-    std::vector<MicroblogId> out;
+    std::vector<Posting> out;
     while (!stop.load(std::memory_order_relaxed)) {
       out.clear();
       index.Query(rng.Uniform(kTerms), 20, 1, &out);
       // Returned lists must be score-descending (score == id here).
       for (size_t i = 1; i < out.size(); ++i) {
-        ASSERT_GT(out[i - 1], out[i]);
+        ASSERT_GT(out[i - 1].id, out[i].id);
+        ASSERT_GT(out[i - 1].score, out[i].score);
       }
     }
   });

@@ -25,9 +25,13 @@ TEST(InvertedIndexTest, QueryReturnsBestRankedAndStampsTime) {
   for (MicroblogId id = 1; id <= 5; ++id) {
     index.Insert(7, id, static_cast<double>(id), id * 10, 0);
   }
-  std::vector<MicroblogId> out;
+  std::vector<Posting> out;
   EXPECT_EQ(index.Query(7, 3, /*now=*/999, &out), 3u);
-  EXPECT_EQ(out, (std::vector<MicroblogId>{5, 4, 3}));
+  ASSERT_EQ(out.size(), 3u);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(out[i].id, 5 - i);
+    EXPECT_DOUBLE_EQ(out[i].score, static_cast<double>(5 - i));
+  }
   EntryMeta meta;
   ASSERT_TRUE(index.GetEntryMeta(7, &meta));
   EXPECT_EQ(meta.last_query, 999u);
@@ -37,7 +41,7 @@ TEST(InvertedIndexTest, QueryReturnsBestRankedAndStampsTime) {
 TEST(InvertedIndexTest, PeekDoesNotStampQueryTime) {
   InvertedIndex index;
   index.Insert(7, 1, 1.0, 10, 0);
-  std::vector<MicroblogId> out;
+  std::vector<Posting> out;
   index.Peek(7, 1, &out);
   EntryMeta meta;
   ASSERT_TRUE(index.GetEntryMeta(7, &meta));
@@ -46,7 +50,7 @@ TEST(InvertedIndexTest, PeekDoesNotStampQueryTime) {
 
 TEST(InvertedIndexTest, QueryOnMissingTermIsEmpty) {
   InvertedIndex index;
-  std::vector<MicroblogId> out;
+  std::vector<Posting> out;
   EXPECT_EQ(index.Query(404, 10, 1, &out), 0u);
   EXPECT_TRUE(out.empty());
 }
@@ -156,12 +160,12 @@ TEST(InvertedIndexTest, NumEntriesWithAtLeast) {
   EXPECT_EQ(index.NumEntriesWithAtLeast(11), 0u);
 }
 
-TEST(InvertedIndexTest, PeekPostingsReturnsScores) {
+TEST(InvertedIndexTest, PeekReturnsScores) {
   InvertedIndex index;
   index.Insert(1, 10, 5.0, 1, 0);
   index.Insert(1, 11, 7.0, 1, 0);
   std::vector<Posting> postings;
-  EXPECT_EQ(index.PeekPostings(1, 10, &postings), 2u);
+  EXPECT_EQ(index.Peek(1, 10, &postings), 2u);
   EXPECT_EQ(postings[0].id, 11u);
   EXPECT_DOUBLE_EQ(postings[0].score, 7.0);
 }

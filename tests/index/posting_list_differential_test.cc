@@ -238,14 +238,15 @@ TEST(PostingListDifferentialTest, ThousandSeedsMatchDequeReference) {
           live.erase(std::remove(live.begin(), live.end(), id), live.end());
         }
       } else {
-        // Query-side checks ride along: TopIds and membership.
+        // Query-side checks ride along: Top and membership.
         const size_t limit = rng.Uniform(10) + 1;
-        std::vector<MicroblogId> top;
-        list.TopIds(limit, &top);
+        std::vector<Posting> top;
+        list.Top(limit, &top);
         const size_t want_n = std::min(limit, model.items().size());
         ASSERT_EQ(top.size(), want_n);
         for (size_t i = 0; i < want_n; ++i) {
-          ASSERT_EQ(top[i], model.items()[i].id);
+          ASSERT_EQ(top[i].id, model.items()[i].id);
+          ASSERT_DOUBLE_EQ(top[i].score, model.items()[i].score);
         }
         if (!live.empty()) {
           ASSERT_TRUE(list.Contains(live[rng.Uniform(live.size())]));

@@ -2,15 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include "../testing/test_util.h"
 #include "util/random.h"
 
 namespace kflush {
 namespace {
 
 std::vector<MicroblogId> Ids(const PostingList& list) {
-  std::vector<MicroblogId> ids;
-  list.TopIds(list.size(), &ids);
-  return ids;
+  std::vector<Posting> top;
+  list.Top(list.size(), &top);
+  return testing_util::IdsOf(top);
 }
 
 bool IsSortedDescending(const PostingList& list) {
@@ -57,16 +58,20 @@ TEST(PostingListTest, RandomInsertsStaySorted) {
   EXPECT_EQ(list.size(), 500u);
 }
 
-TEST(PostingListTest, TopIdsRespectsLimit) {
+TEST(PostingListTest, TopRespectsLimit) {
   PostingList list;
   for (MicroblogId id = 1; id <= 10; ++id) {
     list.Insert(id, static_cast<double>(id));
   }
-  std::vector<MicroblogId> out;
-  EXPECT_EQ(list.TopIds(3, &out), 3u);
-  EXPECT_EQ(out, (std::vector<MicroblogId>{10, 9, 8}));
+  std::vector<Posting> out;
+  EXPECT_EQ(list.Top(3, &out), 3u);
+  ASSERT_EQ(out.size(), 3u);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(out[i].id, 10 - i);
+    EXPECT_DOUBLE_EQ(out[i].score, static_cast<double>(10 - i));
+  }
   out.clear();
-  EXPECT_EQ(list.TopIds(100, &out), 10u);
+  EXPECT_EQ(list.Top(100, &out), 10u);
 }
 
 TEST(PostingListTest, TrimBeyondKRemovesTail) {

@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
+
+#include "../testing/test_util.h"
 
 namespace kflush {
 namespace {
+
+using testing_util::IdsOf;
 
 TEST(SegmentedIndexTest, StartsWithOneSegment) {
   SegmentedIndex index;
@@ -23,9 +28,10 @@ TEST(SegmentedIndexTest, QueryMergesAcrossSegments) {
   EXPECT_EQ(index.NumSegments(), 2u);
   EXPECT_EQ(index.EntrySize(1), 4u);
 
-  std::vector<MicroblogId> out;
+  std::vector<Posting> out;
   EXPECT_EQ(index.Query(1, 3, &out), 3u);
-  EXPECT_EQ(out, (std::vector<MicroblogId>{13, 12, 11}));
+  EXPECT_EQ(IdsOf(out), (std::vector<MicroblogId>{13, 12, 11}));
+  EXPECT_DOUBLE_EQ(out[0].score, 4.0);
 }
 
 TEST(SegmentedIndexTest, QueryMergesInterleavedScores) {
@@ -35,9 +41,9 @@ TEST(SegmentedIndexTest, QueryMergesInterleavedScores) {
   index.Insert(1, 11, 1.0, 1);
   index.SealActiveSegment();
   index.Insert(1, 12, 3.0, 2);
-  std::vector<MicroblogId> out;
+  std::vector<Posting> out;
   index.Query(1, 10, &out);
-  EXPECT_EQ(out, (std::vector<MicroblogId>{10, 12, 11}));
+  EXPECT_EQ(IdsOf(out), (std::vector<MicroblogId>{10, 12, 11}));
 }
 
 TEST(SegmentedIndexTest, FlushOldestReportsEveryPosting) {

@@ -14,6 +14,9 @@
 //                          == queries run, at every shard count (shard
 //                             visits are not queries)
 //   query.unproven_hits    <= query.memory_hits
+//   query.stage_micros.<stage> count == query.executed, for every stage
+//   sum of the stage sums  == sum of the latency sums (the stages
+//                             partition each query's latency)
 
 #include <gtest/gtest.h>
 
@@ -96,6 +99,30 @@ uint64_t LatencySamples(const MetricsSnapshot& snap) {
     }
   }
   return samples;
+}
+
+// Every query records each of its four stages once (0 when the stage did
+// not run), and the stages partition its latency, so their sums add up to
+// the latency histograms' sums exactly.
+void ExpectStagesPartitionLatency(const MetricsSnapshot& snap,
+                                  const std::string& label) {
+  const uint64_t executed = snap.counter_or("query.executed");
+  uint64_t stage_sum = 0;
+  for (const char* stage : {"postings", "disk", "merge", "materialize"}) {
+    const std::string name = std::string("query.stage_micros.") + stage;
+    auto it = snap.histograms.find(name);
+    ASSERT_NE(it, snap.histograms.end()) << label << " " << name;
+    EXPECT_EQ(it->second.count(), executed) << label << " " << name;
+    stage_sum += it->second.sum();
+  }
+  uint64_t latency_sum = 0;
+  for (QueryType type : {QueryType::kSingle, QueryType::kAnd, QueryType::kOr}) {
+    for (bool hit : {true, false}) {
+      auto it = snap.histograms.find(QueryLatencySeries(type, hit));
+      if (it != snap.histograms.end()) latency_sum += it->second.sum();
+    }
+  }
+  EXPECT_EQ(stage_sum, latency_sum) << label;
 }
 
 uint64_t SumPhases(const MetricsSnapshot& snap, const std::string& field) {
@@ -188,6 +215,7 @@ TEST(MetricsConservationTest, QueryHitsPlusMissesEqualQueries) {
     EXPECT_EQ(hits_by_type, qm.memory_hits) << PolicyKindName(policy);
     EXPECT_EQ(qm.disk_term_reads, snap.counter_or("disk.term_queries"))
         << PolicyKindName(policy);
+    ExpectStagesPartitionLatency(snap, PolicyKindName(policy));
   }
 }
 
@@ -239,6 +267,7 @@ void ExpectFanOutCountedOnce(size_t shards) {
   EXPECT_EQ(snap.counter_or("query.memory_misses"), kQueries - hits);
   EXPECT_LE(snap.counter_or("query.unproven_hits"), hits);
   EXPECT_EQ(LatencySamples(snap), kQueries);
+  ExpectStagesPartitionLatency(snap, std::to_string(shards) + " shards");
   const QueryMetricsSnapshot qm = QueryMetricsFromRegistry(snap);
   EXPECT_EQ(qm.queries, kQueries);
   EXPECT_EQ(qm.memory_hits, hits);

@@ -325,8 +325,12 @@ TEST_P(ShardOracleTest, ShardCountIsInvisibleInAnswers) {
     const uint32_t store_k = one.store.k();
     for (size_t q = 0; q < kQueriesPerProbe; ++q) {
       const TopKQuery query = queries.Next();
-      const std::string label =
-          "@" + std::to_string(streamed) + " " + DescribeQuery(query);
+      // Built with += : GCC 12's -Werror=restrict misfires at -O3 on the
+      // chained operator+ form.
+      std::string label = "@";
+      label += std::to_string(streamed);
+      label += ' ';
+      label += DescribeQuery(query);
       const QueryResult expected =
           reference.TopK(query, query.k != 0 ? query.k : store_k);
       auto ra = one.store.engine()->Execute(query);

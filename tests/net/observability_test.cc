@@ -94,6 +94,9 @@ TEST(NetObservability, StatsPromExpositionOverLoopback) {
 
   std::vector<Microblog> batch(3, MakeBlog(kInvalidMicroblogId, 0, {9}));
   ASSERT_EQ(client->Ingest(batch)->type, MsgType::kIngestAck);
+  TopKQuery query;
+  query.terms = {9};
+  ASSERT_TRUE(client->Query(query).ok());
 
   auto prom = client->StatsProm();
   ASSERT_TRUE(prom.ok()) << prom.status().ToString();
@@ -111,6 +114,15 @@ TEST(NetObservability, StatsPromExpositionOverLoopback) {
   // Store-side families ride along (two shards -> aggregated + per-shard).
   EXPECT_NE(prom->find("kflush_ingest_inserted"), std::string::npos);
   EXPECT_NE(prom->find("kflush_shard0_"), std::string::npos);
+  // The query's latency split, one sample per stage.
+  for (const char* stage : {"postings", "disk", "merge", "materialize"}) {
+    const std::string family =
+        std::string("kflush_query_stage_micros_") + stage;
+    EXPECT_NE(prom->find("# TYPE " + family + " histogram\n"),
+              std::string::npos)
+        << family;
+    EXPECT_NE(prom->find(family + "_count 1\n"), std::string::npos) << family;
+  }
   // No raw dotted names leak outside # HELP lines.
   EXPECT_EQ(prom->find("\nnet.records_acked"), std::string::npos);
 

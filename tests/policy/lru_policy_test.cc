@@ -103,11 +103,11 @@ TEST(LruPolicyTest, ConcurrentAccessAndInsertKeepsListConsistent) {
     }
   });
   std::thread query_thread([&] {
-    std::vector<MicroblogId> out;
+    std::vector<Posting> out;
     for (int round = 0; round < 200; ++round) {
       out.clear();
       policy->QueryTerm(round % 10, kK, &out, true);
-      policy->OnResultAccess(out);
+      policy->OnResultAccess(testing_util::IdsOf(out));
     }
   });
   touch_thread.join();

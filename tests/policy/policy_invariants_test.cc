@@ -81,11 +81,12 @@ TEST_P(PolicyInvariantsTest, MemoryUnionDiskCoversEveryPosting) {
   auto policy = h.Make(GetParam(), kK, /*fifo_segment_bytes=*/8 * 1024);
   RunWorkload(policy.get(), &h, 10);
   for (const auto& [term, ids] : truth_) {
-    std::vector<MicroblogId> mem;
+    std::vector<Posting> mem;
     policy->QueryTerm(term, ~size_t{0}, &mem, false);
     std::vector<Posting> disk;
     ASSERT_TRUE(h.disk().QueryTerm(term, ~size_t{0}, &disk).ok());
-    std::set<MicroblogId> covered(mem.begin(), mem.end());
+    std::set<MicroblogId> covered;
+    for (const Posting& p : mem) covered.insert(p.id);
     for (const Posting& p : disk) covered.insert(p.id);
     for (MicroblogId id : ids) {
       EXPECT_TRUE(covered.count(id) > 0)
@@ -128,9 +129,9 @@ TEST_P(PolicyInvariantsTest, QueryNeverReturnsFlushedIds) {
   auto policy = h.Make(GetParam(), kK, /*fifo_segment_bytes=*/8 * 1024);
   RunWorkload(policy.get(), &h, 10);
   for (TermId term = 0; term < 30; ++term) {
-    std::vector<MicroblogId> ids;
-    policy->QueryTerm(term, ~size_t{0}, &ids, false);
-    for (MicroblogId id : ids) {
+    std::vector<Posting> postings;
+    policy->QueryTerm(term, ~size_t{0}, &postings, false);
+    for (MicroblogId id : testing_util::IdsOf(postings)) {
       EXPECT_TRUE(h.raw().Contains(id))
           << "policy " << policy->name() << " term " << term
           << " returned evicted id " << id;
@@ -143,13 +144,15 @@ TEST_P(PolicyInvariantsTest, QueryResultsAreRankDescending) {
   auto policy = h.Make(GetParam(), kK, /*fifo_segment_bytes=*/8 * 1024);
   RunWorkload(policy.get(), &h, 6);
   for (TermId term = 0; term < 30; ++term) {
-    std::vector<MicroblogId> ids;
-    policy->QueryTerm(term, ~size_t{0}, &ids, false);
+    std::vector<Posting> postings;
+    policy->QueryTerm(term, ~size_t{0}, &postings, false);
     Timestamp prev = ~Timestamp{0};
-    for (MicroblogId id : ids) {
-      auto blog = h.raw().Get(id);
+    for (const Posting& p : postings) {
+      auto blog = h.raw().Get(p.id);
       ASSERT_TRUE(blog.has_value());
       EXPECT_LE(blog->created_at, prev);
+      // The posting carries the score fixed at arrival (temporal here).
+      EXPECT_DOUBLE_EQ(p.score, static_cast<double>(blog->created_at));
       prev = blog->created_at;
     }
   }
@@ -166,9 +169,9 @@ TEST_P(PolicyInvariantsTest, RepeatedFullDrainIsStable) {
   EXPECT_LE(h.raw().size(), after_first);
   // System still works after total drain.
   h.Ingest(policy.get(), 999999, {1});
-  std::vector<MicroblogId> ids;
-  policy->QueryTerm(1, kK, &ids, false);
-  EXPECT_FALSE(ids.empty());
+  std::vector<Posting> postings;
+  policy->QueryTerm(1, kK, &postings, false);
+  EXPECT_FALSE(postings.empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -39,8 +39,9 @@ TEST(RankingFlushTest, Phase1TrimsLowestScoredNotOldest) {
 
   store.FlushOnce();  // Phase 1 trims the entry to k = 3
 
-  std::vector<MicroblogId> ids;
-  store.policy()->QueryTerm(7, kK, &ids, false);
+  std::vector<Posting> postings;
+  store.policy()->QueryTerm(7, kK, &postings, false);
+  const std::vector<MicroblogId> ids = testing_util::IdsOf(postings);
   ASSERT_EQ(ids.size(), kK);
   // The old celebrity post outranks the newer nobodies and must survive;
   // a temporal policy would have flushed it first.
@@ -98,8 +99,9 @@ TEST(RankingFlushTest, FifoSegmentsMergeCorrectlyUnderPopularity) {
     blog.follower_count = (id % 10 == 0) ? 1'000'000 : 0;
     ASSERT_TRUE(store.Insert(blog).ok());
   }
-  std::vector<MicroblogId> ids;
-  store.policy()->QueryTerm(7, 5, &ids, false);
+  std::vector<Posting> postings;
+  store.policy()->QueryTerm(7, 5, &postings, false);
+  const std::vector<MicroblogId> ids = testing_util::IdsOf(postings);
   ASSERT_EQ(ids.size(), 5u);
   // All five best-ranked are famous (multiples of 10), newest first.
   for (MicroblogId id : ids) {

@@ -78,6 +78,10 @@ TEST(MetricsStressTest, SnapshotNeverTearsHitRatioAbove100Percent) {
   EXPECT_EQ(final_snap.memory_hits, total / 2);
   EXPECT_EQ(registry.counter_or("query.executed"), total);
   EXPECT_EQ(registry.counter_or("query.memory_hits"), final_snap.memory_hits);
+  // Each query counts the disk reads it issued itself, so racing queries
+  // never count each other's: the sum is the disk tier's own count.
+  EXPECT_EQ(registry.counter_or("query.disk_term_reads"),
+            store.disk()->stats().term_queries);
   uint64_t by_type = 0, hits_by_type = 0;
   for (int i = 0; i < 3; ++i) {
     by_type += final_snap.queries_by_type[i];

@@ -59,9 +59,9 @@ class PolicyHarness {
   std::vector<MicroblogId> Query(FlushPolicy* policy, TermId term,
                                  size_t limit) {
     clock_.Advance(1);
-    std::vector<MicroblogId> ids;
-    policy->QueryTerm(term, limit, &ids, /*record_access=*/true);
-    return ids;
+    std::vector<Posting> postings;
+    policy->QueryTerm(term, limit, &postings, /*record_access=*/true);
+    return IdsOf(postings);
   }
 
   MemoryTracker& tracker() { return tracker_; }

@@ -33,6 +33,14 @@ inline Microblog MakeBlog(MicroblogId id, Timestamp ts,
   return blog;
 }
 
+/// The ids of `postings`, in order.
+inline std::vector<MicroblogId> IdsOf(const std::vector<Posting>& postings) {
+  std::vector<MicroblogId> ids;
+  ids.reserve(postings.size());
+  for (const Posting& p : postings) ids.push_back(p.id);
+  return ids;
+}
+
 /// A geotagged microblog.
 inline Microblog MakeGeoBlog(MicroblogId id, Timestamp ts, double lat,
                              double lon, UserId user = 1) {

@@ -521,11 +521,7 @@ int main(int argc, char** argv) {
       r = RunPoint("127.0.0.1", server.port(), load, point);
       server.Stop();
       system.Stop();
-      std::vector<MetricsSnapshot> parts;
-      for (size_t i = 0; i < load.shards; ++i) {
-        parts.push_back(system.shard_store(i)->metrics_registry()->Snapshot());
-      }
-      r.snapshot = AggregateSnapshots(parts);
+      r.snapshot = system.store()->AggregatedMetrics();
       // Merge the server's own net.* families (stage histograms included)
       // after both Stop()s: the registry is quiesced, so the stage counts
       // reconcile exactly against net.ingest_acks.

@@ -3,7 +3,7 @@
 # the concurrency paths (docs/INTERNALS.md, "Threading model & sanitizers").
 #
 # Usage:  scripts/check.sh [tier1|release|tsan|asan|stress|crash|subs|
-#                           bench-smoke|net-smoke|ops-smoke|all]
+#                           figures|bench-smoke|net-smoke|ops-smoke|all]
 #                           (default: all)
 #
 # Jobs (each one is what CI runs as a separate job):
@@ -35,6 +35,15 @@
 #                 subscription-overhead bench whose artifact carries the
 #                 zero-subscription perf gate (<= 2% vs no-manager,
 #                 enforced by scripts/validate_bench_json.py).
+#   figures     - the paper-shaped outputs must not move: builds the
+#                 default preset, reruns every figure bench at
+#                 KFLUSH_BENCH_SCALE=0.1 and `kflushctl compare
+#                 --memory-mb 8 --queries 3000` at 1 and 4 shards, and
+#                 diffs each stdout byte for byte against bench/golden/.
+#                 A change that moves a row on purpose regenerates them
+#                 and says why in CHANGES.md:
+#                   KFLUSH_BENCH_OUT=D scripts/check.sh figures
+#                   cp D/figures/*.txt bench/golden/
 #   bench-smoke - tiny-scale bench_snapshot run; validates the BENCH_*.json
 #                 metrics artifact schema with scripts/validate_bench_json.py,
 #                 then a traced bench_fig5_memory_behavior run validated with
@@ -67,7 +76,18 @@ JOBS="${KFLUSH_BUILD_JOBS:-$(nproc)}"
 STRESS_TIMEOUT="${KFLUSH_STRESS_TIMEOUT:-3600}"
 # The committed ratchet files the perf gates compare against (--baseline).
 INSERT_GATE_BASELINE=bench/baselines/BENCH_baseline.json
-GATE_BASELINES=("${INSERT_GATE_BASELINE}")
+# The figure outputs the figures job pins, one golden per bench/golden/
+# file: each figure bench, then `kflushctl compare` at each shard count.
+FIGURE_BENCHES=(bench_fig5_memory_behavior bench_fig7_kfilled
+                bench_fig8_hit_correlated bench_fig9_hit_uniform
+                bench_fig11_spatial bench_fig12_user bench_ablation)
+FIGURE_COMPARE_SHARDS=(1 4)
+GOLDENS=()
+for b in "${FIGURE_BENCHES[@]}"; do GOLDENS+=("bench/golden/${b}.txt"); done
+for s in "${FIGURE_COMPARE_SHARDS[@]}"; do
+  GOLDENS+=("bench/golden/kflushctl_compare_shards${s}.txt")
+done
+GATE_BASELINES=("${INSERT_GATE_BASELINE}" "${GOLDENS[@]}")
 FAILED=()
 
 note() { printf '\n== %s ==\n' "$*"; }
@@ -96,14 +116,14 @@ run_ctest() {  # run_ctest <builddir> <label: all|stress>
   return ${rc}
 }
 
-# A baseline that exists only in one working tree (or that .gitignore
-# swallows) leaves its gate dead on a fresh clone: fail on any that git
-# does not track.
+# A baseline or golden that exists only in one working tree (or that
+# .gitignore swallows) leaves its gate dead on a fresh clone: fail on any
+# that git does not track.
 check_gate_baselines_tracked() {
   local file rc=0
   for file in "${GATE_BASELINES[@]}"; do
     if ! git ls-files --error-unmatch "${file}" >/dev/null 2>&1; then
-      echo "perf-gate baseline ${file} is not tracked by git"
+      echo "gate baseline ${file} is not tracked by git"
       rc=1
     fi
   done
@@ -111,7 +131,7 @@ check_gate_baselines_tracked() {
 }
 
 job_tier1() {
-  note "tier1: perf-gate baselines are committed"
+  note "tier1: perf-gate baselines and figure goldens are committed"
   check_gate_baselines_tracked || return 1
   note "tier1: plain build + full suite"
   build default && run_ctest build all || return 1
@@ -203,6 +223,31 @@ job_subs() {
       ./build/bench/bench_subscriptions || return 1
   python3 scripts/validate_bench_json.py \
       "${out}/BENCH_subscriptions.json"
+}
+
+job_figures() {
+  note "figures: paper-figure outputs vs bench/golden, byte for byte"
+  local out b s golden rc=0
+  build default || return 1
+  out="${KFLUSH_BENCH_OUT:-$(mktemp -d)}/figures"
+  mkdir -p "${out}"
+  for b in "${FIGURE_BENCHES[@]}"; do
+    KFLUSH_BENCH_SCALE=0.1 KFLUSH_BENCH_OUT="${out}" \
+        "./build/bench/${b}" > "${out}/${b}.txt" || return 1
+  done
+  for s in "${FIGURE_COMPARE_SHARDS[@]}"; do
+    ./build/tools/kflushctl compare --memory-mb 8 --queries 3000 \
+        --shards "${s}" > "${out}/kflushctl_compare_shards${s}.txt" \
+        || return 1
+  done
+  for golden in "${GOLDENS[@]}"; do
+    diff -u "${golden}" "${out}/$(basename "${golden}")" || rc=1
+  done
+  if [ ${rc} -ne 0 ]; then
+    echo "figure outputs moved; if on purpose: cp ${out}/*.txt bench/golden/"
+    echo "and say why in CHANGES.md"
+  fi
+  return ${rc}
 }
 
 job_bench_smoke() {
@@ -366,12 +411,12 @@ job_ops_smoke() {
 run_job() { "job_${1//-/_}" || FAILED+=("$1"); }
 
 case "${1:-all}" in
-  tier1|release|tsan|asan|stress|crash|subs|bench-smoke|net-smoke|ops-smoke)
+  tier1|release|tsan|asan|stress|crash|subs|figures|bench-smoke|net-smoke|ops-smoke)
     run_job "$1" ;;
   all) run_job tier1; run_job release; run_job tsan; run_job asan
-       run_job crash; run_job subs; run_job bench-smoke; run_job net-smoke
-       run_job ops-smoke ;;
-  *) echo "usage: $0 [tier1|release|tsan|asan|stress|crash|subs|bench-smoke|net-smoke|ops-smoke|all]" >&2
+       run_job crash; run_job subs; run_job figures; run_job bench-smoke
+       run_job net-smoke; run_job ops-smoke ;;
+  *) echo "usage: $0 [tier1|release|tsan|asan|stress|crash|subs|figures|bench-smoke|net-smoke|ops-smoke|all]" >&2
      exit 2 ;;
 esac
 

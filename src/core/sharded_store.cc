@@ -1,20 +1,106 @@
 #include "core/sharded_store.h"
 
-#include "core/trace.h"
+#include <algorithm>
+#include <filesystem>
+#include <set>
+#include <string>
+
 #include "util/logging.h"
 
 namespace kflush {
+namespace {
+
+/// Shard `shard`'s options under a deployment of `num_shards`: the total
+/// memory budget split evenly (remainder bytes are dropped — the oracle
+/// pins budgets divisible by the shard counts it compares), `shard_id`
+/// set, and, when durable, its own WAL + segment directory
+/// `<dir>/shard-<i>`, so flushes and group commits on different shards
+/// share no files.
+StoreOptions ShardStoreOptions(const StoreOptions& deployment,
+                               size_t num_shards, size_t shard) {
+  StoreOptions so = deployment;
+  so.memory_budget_bytes = deployment.memory_budget_bytes / num_shards;
+  so.shard_id = static_cast<int>(shard);
+  if (so.durability.enabled) {
+    so.durability.dir = deployment.durability.dir + "/shard-" +
+                        std::to_string(shard);
+  }
+  return so;
+}
+
+/// A durable directory opens only at the shard count that wrote it:
+/// ShardRouter placement depends on N, so a 2-shard directory reopened at
+/// 4 shards would route recovered terms to shards that hold nothing.
+/// Checks `deployment`'s durable directory before any shard store opens
+/// it. A missing or empty directory passes, and so does one holding
+/// exactly shard-0 … shard-(num_shards-1) and no top-level single-store
+/// WAL. On failure durability is switched off in `*deployment`, so the
+/// shards create nothing and run non-durably, and the returned status
+/// names both shard counts.
+Status OpenShardLayout(StoreOptions* deployment, size_t num_shards) {
+  if (!deployment->durability.enabled) return Status::OK();
+  namespace fs = std::filesystem;
+  const std::string& dir = deployment->durability.dir;
+  std::error_code ec;
+  if (!fs::is_directory(dir, ec) || fs::is_empty(dir, ec)) {
+    return Status::OK();
+  }
+  std::set<size_t> found;
+  bool single_store_wal = false;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
+    const std::string name = entry.path().filename().string();
+    if (name == "wal.log") single_store_wal = true;
+    const std::string digits =
+        name.rfind("shard-", 0) == 0 ? name.substr(6) : std::string();
+    if (!digits.empty() && digits.size() <= 9 &&
+        digits.find_first_not_of("0123456789") == std::string::npos &&
+        entry.is_directory(ec)) {
+      found.insert(std::stoul(digits));
+    }
+  }
+  Status status = Status::OK();
+  if (single_store_wal) {
+    status = Status::InvalidArgument(
+        "durable directory " + dir +
+        " holds a single-store WAL (1 shard, unsharded layout); opened with " +
+        std::to_string(num_shards) + " shard(s)");
+  } else if (found.size() != num_shards ||
+             *found.rbegin() != num_shards - 1) {
+    status = Status::InvalidArgument(
+        "durable directory " + dir + " holds " +
+        std::to_string(found.size()) +
+        " shard director" + (found.size() == 1 ? "y" : "ies") +
+        "; opened with " + std::to_string(num_shards) +
+        " shard(s) (reopen with the shard count that wrote it)");
+  }
+  if (!status.ok()) {
+    KFLUSH_WARN("durable tier unavailable, running non-durable: "
+                << status.ToString());
+    deployment->durability.enabled = false;
+  }
+  return status;
+}
+
+}  // namespace
 
 ShardedMicroblogStore::ShardedMicroblogStore(ShardedStoreOptions options)
-    : options_(options), routing_(options.store, options.num_shards) {
-  const size_t n = routing_.router().num_shards();
+    : options_(options),
+      clock_(options.store.clock != nullptr ? options.store.clock
+                                            : WallClock::Default()),
+      extractor_(MakeAttribute(options.store.attribute)),
+      router_(options.num_shards) {
+  const size_t n = router_.num_shards();
   layout_status_ = OpenShardLayout(&options_.store, n);
   shards_.reserve(n);
   std::vector<MicroblogStore*> stores;
   for (size_t i = 0; i < n; ++i) {
     shards_.push_back(std::make_unique<MicroblogStore>(
         ShardStoreOptions(options_.store, n, i)));
-    routing_.ResumePast(*shards_.back());
+    // Stamp past every id a shard recovered, or restarted ingest would
+    // reuse live ids. Nothing routes before the constructor returns.
+    next_id_.store(std::max(next_id_.load(std::memory_order_relaxed),
+                            shards_.back()->recovered_max_id() + 1),
+                   std::memory_order_relaxed);
     stores.push_back(shards_.back().get());
   }
   engine_ = std::make_unique<QueryEngine>(std::move(stores));
@@ -42,7 +128,7 @@ Status ShardedMicroblogStore::Insert(Microblog blog) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
   // Per-thread scratch: the routing buffers never escape this frame.
   static thread_local RoutedTerms routed;
-  if (!routing_.Route(&blog, &routed)) {
+  if (!Route(&blog, &routed)) {
     skipped_no_terms_.fetch_add(1, std::memory_order_relaxed);
     return Status::OK();
   }
@@ -54,6 +140,65 @@ Status ShardedMicroblogStore::Insert(Microblog blog) {
   }
   const size_t last = owners.back();
   return shards_[last]->InsertRouted(std::move(blog), routed.owned[last]);
+}
+
+RoutedBatch ShardedMicroblogStore::RouteBatch(std::vector<Microblog> batch) {
+  RoutedBatch routed;
+  routed.per_shard.resize(shards_.size());
+  // Per-record scratch, hoisted out of the loop: the routing hot path
+  // must not allocate O(num_shards) vectors per record.
+  RoutedTerms terms;
+  for (Microblog& blog : batch) {
+    ++routed.tally.submitted;
+    if (!Route(&blog, &terms)) {
+      ++routed.tally.skipped_no_terms;
+      continue;
+    }
+    const std::vector<size_t>& owners = terms.owners;
+    routed.tally.routed_copies += owners.size();
+    for (size_t i = 0; i + 1 < owners.size(); ++i) {
+      ShardBatch& dest = routed.per_shard[owners[i]];
+      dest.blogs.push_back(blog);
+      dest.routed_terms.push_back(std::move(terms.owned[owners[i]]));
+    }
+    const size_t last = owners.back();
+    routed.per_shard[last].blogs.push_back(std::move(blog));
+    routed.per_shard[last].routed_terms.push_back(
+        std::move(terms.owned[last]));
+  }
+  for (size_t i = 0; i < routed.per_shard.size(); ++i) {
+    if (!routed.per_shard[i].blogs.empty()) routed.owners.push_back(i);
+  }
+  return routed;
+}
+
+void ShardedMicroblogStore::CountAdmitted(const ShardedIngestStats& tally) {
+  submitted_.fetch_add(tally.submitted, std::memory_order_relaxed);
+  routed_copies_.fetch_add(tally.routed_copies, std::memory_order_relaxed);
+  skipped_no_terms_.fetch_add(tally.skipped_no_terms,
+                              std::memory_order_relaxed);
+}
+
+bool ShardedMicroblogStore::Route(Microblog* blog, RoutedTerms* out) {
+  if (blog->id == kInvalidMicroblogId) {
+    blog->id = next_id_.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (blog->created_at == 0) {
+    blog->created_at = clock_->NowMicros();
+  }
+  // Clear only the sublists the previous record touched.
+  if (out->owned.size() < shards_.size()) {
+    out->owned.resize(shards_.size());
+  }
+  for (size_t owner : out->owners) out->owned[owner].clear();
+  out->owners.clear();
+  extractor_->ExtractTerms(*blog, &out->terms);
+  for (TermId term : out->terms) {
+    const size_t owner = router_.ShardForTerm(term);
+    if (out->owned[owner].empty()) out->owners.push_back(owner);
+    out->owned[owner].push_back(term);
+  }
+  return !out->owners.empty();
 }
 
 size_t ShardedMicroblogStore::FlushAllOnce() {

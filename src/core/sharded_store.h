@@ -5,11 +5,11 @@
 // tier, so flush cycles on different shards share no locks and run
 // independently. The facade stamps ids and timestamps centrally BEFORE
 // routing — a record carrying terms owned by several shards is copied to
-// each, and the copies must be byte-identical. Synchronous (per-shard
-// inline auto-flush) and deterministic under a SimClock: this is the
-// deployment the experiments and the oracles drive. The threaded
-// deployment with per-shard digestion/flusher threads is
-// ShardedMicroblogSystem.
+// each, and the copies must be byte-identical. This is the one
+// deployment. Driven inline (Insert, per-shard auto-flush), it is
+// synchronous and deterministic under a SimClock; the experiments and the
+// oracles drive it that way. ShardedMicroblogSystem drives it from
+// per-shard digestion and flusher threads (RouteBatch).
 
 #ifndef KFLUSH_CORE_SHARDED_STORE_H_
 #define KFLUSH_CORE_SHARDED_STORE_H_
@@ -18,8 +18,8 @@
 #include <memory>
 #include <vector>
 
-#include "core/shard_layout.h"
 #include "core/query_engine.h"
+#include "core/shard_router.h"
 #include "core/store.h"
 
 namespace kflush {
@@ -27,7 +27,9 @@ namespace kflush {
 /// Sharded deployment configuration.
 struct ShardedStoreOptions {
   /// Per-shard template. memory_budget_bytes is the TOTAL deployment
-  /// budget, split by ShardStoreOptions. clock is shared across shards.
+  /// budget, split evenly across the shards (remainder bytes are dropped).
+  /// clock is shared across shards. When durable, shard i keeps its own
+  /// WAL and segments under `<durability.dir>/shard-<i>`.
   /// Leave disk null: each shard owns its disk tier, keeping a term's
   /// disk postings wholly on its owner.
   StoreOptions store;
@@ -36,7 +38,8 @@ struct ShardedStoreOptions {
 
 /// Aggregated ingest counters maintained by the routing layer.
 struct ShardedIngestStats {
-  /// Records submitted to the facade (before routing).
+  /// Records inserted, or in admitted batches, before routing (term-less
+  /// records included).
   uint64_t submitted = 0;
   /// Per-shard record copies written (>= submitted - skipped; a record
   /// with terms on s shards contributes s copies).
@@ -44,6 +47,23 @@ struct ShardedIngestStats {
   /// Records carrying no term under the attribute (counted centrally; the
   /// shards never see them).
   uint64_t skipped_no_terms = 0;
+};
+
+/// Records bound for one shard, each with the subset of its terms that
+/// shard owns (parallel vectors; see MicroblogStore::InsertRouted).
+struct ShardBatch {
+  std::vector<Microblog> blogs;
+  std::vector<std::vector<TermId>> routed_terms;
+};
+
+/// A producer batch, stamped and split by owning shard (RouteBatch).
+struct RoutedBatch {
+  /// per_shard[s] holds shard s's copies.
+  std::vector<ShardBatch> per_shard;
+  /// Shards with a non-empty part, ascending.
+  std::vector<size_t> owners;
+  /// What admitting the batch adds to sharded_ingest_stats().
+  ShardedIngestStats tally;
 };
 
 class ShardedMicroblogStore {
@@ -59,12 +79,21 @@ class ShardedMicroblogStore {
   /// shard. Thread-safe.
   Status Insert(Microblog blog);
 
+  /// Stamps and routes a whole batch like Insert, but inserts and counts
+  /// nothing: ShardedMicroblogSystem queues each part on its shard and calls
+  /// CountAdmitted only once the batch is admitted everywhere, so a
+  /// rejected batch leaves no trace. Thread-safe.
+  RoutedBatch RouteBatch(std::vector<Microblog> batch);
+  /// Adds an admitted RouteBatch's tally to sharded_ingest_stats().
+  void CountAdmitted(const ShardedIngestStats& tally);
+
   /// One flush cycle on every over-budget shard; returns bytes freed.
   size_t FlushAllOnce();
 
-  /// The shard-layout check's failure (OpenShardLayout; the shards then
-  /// run non-durably), else the first non-OK shard durability status (OK
-  /// with durability disabled).
+  /// The shard-layout check's failure (a durable directory opens only at
+  /// the shard count that wrote it; the shards then run non-durably), else
+  /// the first non-OK shard durability status (OK with durability
+  /// disabled).
   Status DurabilityStatus() const;
 
   /// Group-commit barrier on every shard WAL.
@@ -76,7 +105,7 @@ class ShardedMicroblogStore {
   size_t num_shards() const { return shards_.size(); }
   MicroblogStore* shard(size_t i) { return shards_[i].get(); }
   const MicroblogStore* shard(size_t i) const { return shards_[i].get(); }
-  const ShardRouter& router() const { return routing_.router(); }
+  const ShardRouter& router() const { return router_; }
   QueryEngine* engine() { return engine_.get(); }
   const ShardedStoreOptions& options() const { return options_; }
 
@@ -97,8 +126,27 @@ class ShardedMicroblogStore {
   void CollectEntrySizes(std::vector<size_t>* out) const;
 
  private:
+  /// One record's terms grouped by owning shard. Reused across records, so
+  /// routing allocates nothing once the buffers have grown (a caller that
+  /// moves an `owned` list out regrows it).
+  struct RoutedTerms {
+    std::vector<TermId> terms;
+    /// owned[s] holds shard s's terms of the record (indexed by shard).
+    std::vector<std::vector<TermId>> owned;
+    /// Shards with at least one term, in first-touch order.
+    std::vector<size_t> owners;
+  };
+
+  /// Stamps id/created_at if unset, extracts the record's terms, and
+  /// groups them into `out` by owning shard. Returns false (with no
+  /// owners) for a record with no term under the attribute.
+  bool Route(Microblog* blog, RoutedTerms* out);
+
   ShardedStoreOptions options_;
-  IngestRouter routing_;
+  Clock* clock_;
+  std::unique_ptr<AttributeExtractor> extractor_;
+  ShardRouter router_;
+  std::atomic<MicroblogId> next_id_{1};
   Status layout_status_;
   std::vector<std::unique_ptr<MicroblogStore>> shards_;
   std::unique_ptr<QueryEngine> engine_;

@@ -6,30 +6,25 @@
 #include "util/logging.h"
 
 namespace kflush {
+namespace {
 
-ShardedMicroblogSystem::ShardedMicroblogSystem(ShardedSystemOptions options)
-    : options_(options), routing_(options.system.store, options.num_shards) {
-  const size_t n = routing_.router().num_shards();
-  layout_status_ = OpenShardLayout(&options_.system.store, n);
-  systems_.reserve(n);
-  std::vector<MicroblogStore*> stores;
-  for (size_t i = 0; i < n; ++i) {
-    SystemOptions so = options_.system;
-    so.store = ShardStoreOptions(options_.system.store, n, i);
-    systems_.push_back(std::make_unique<MicroblogSystem>(so));
-    routing_.ResumePast(*systems_.back()->store());
-    stores.push_back(systems_.back()->store());
-  }
-  engine_ = std::make_unique<QueryEngine>(std::move(stores));
+/// The store a threaded deployment owns: the per-shard flusher threads
+/// own flushing, so no shard flushes inline.
+ShardedStoreOptions DrivenStoreOptions(const ShardedSystemOptions& options) {
+  ShardedStoreOptions so{options.system.store, options.num_shards};
+  so.store.auto_flush = false;
+  return so;
 }
 
-Status ShardedMicroblogSystem::DurabilityStatus() const {
-  if (!layout_status_.ok()) return layout_status_;
-  for (const auto& system : systems_) {
-    const Status& s = system->store()->durability_status();
-    if (!s.ok()) return s;
+}  // namespace
+
+ShardedMicroblogSystem::ShardedMicroblogSystem(ShardedSystemOptions options)
+    : store_(DrivenStoreOptions(options)) {
+  systems_.reserve(store_.num_shards());
+  for (size_t i = 0; i < store_.num_shards(); ++i) {
+    systems_.push_back(std::make_unique<MicroblogSystem>(
+        store_.shard(i), options.system.ingest_queue_capacity));
   }
-  return Status::OK();
 }
 
 ShardedMicroblogSystem::~ShardedMicroblogSystem() { Stop(); }
@@ -47,7 +42,7 @@ void ShardedMicroblogSystem::Stop() {
     // submit to finish before any shard queue closes: a submit that
     // already holds all its reservations is guaranteed to commit on
     // every owner shard, never on a subset.
-    for (auto& system : systems_) system->AbortIngestReservations();
+    for (auto& system : systems_) system->queue().AbortReservations();
     submit_cv_.wait(lock, [this] { return in_flight_submits_ == 0; });
   }
   for (auto& system : systems_) system->Stop();
@@ -68,153 +63,103 @@ void ShardedMicroblogSystem::EndSubmit() {
   submit_cv_.notify_all();
 }
 
-ShardedMicroblogSystem::RoutedBatch ShardedMicroblogSystem::RouteBatch(
-    std::vector<Microblog> batch) {
-  RoutedBatch routed;
-  routed.per_shard.resize(systems_.size());
-  // Per-record scratch, hoisted out of the loop: the routing hot path
-  // must not allocate O(num_shards) vectors per record.
-  RoutedTerms terms;
-  for (Microblog& blog : batch) {
-    if (!routing_.Route(&blog, &terms)) {
-      ++routed.skipped;
-      continue;
-    }
-    ++routed.records;
-    const std::vector<size_t>& owners = terms.owners;
-    routed.copies += owners.size();
-    for (size_t i = 0; i + 1 < owners.size(); ++i) {
-      IngestBatch& dest = routed.per_shard[owners[i]];
-      dest.blogs.push_back(blog);
-      dest.routed_terms.push_back(std::move(terms.owned[owners[i]]));
-    }
-    const size_t last = owners.back();
-    routed.per_shard[last].blogs.push_back(std::move(blog));
-    routed.per_shard[last].routed_terms.push_back(
-        std::move(terms.owned[last]));
+bool ShardedMicroblogSystem::CommitReserved(
+    RoutedBatch* routed, const std::shared_ptr<IngestTicket>& ticket) {
+  const std::vector<size_t>& owners = routed->owners;
+  if (ticket != nullptr && !owners.empty()) {
+    // Set before any sub-batch is enqueued: a digestion thread may start
+    // committing the moment one is pushed, and the final commit must
+    // observe the full remaining count.
+    ticket->remaining.store(static_cast<uint32_t>(owners.size()),
+                            std::memory_order_relaxed);
   }
-  for (size_t i = 0; i < routed.per_shard.size(); ++i) {
-    if (!routed.per_shard[i].blogs.empty()) routed.owners.push_back(i);
-  }
-  return routed;
-}
-
-bool ShardedMicroblogSystem::CommitReserved(RoutedBatch* routed) {
-  for (size_t i = 0; i < routed->owners.size(); ++i) {
-    const size_t owner = routed->owners[i];
+  for (size_t i = 0; i < owners.size(); ++i) {
     // Every owner holds a reservation, so this never blocks; it can fail
     // only if a shard was stopped out-of-band, which Stop()'s in-flight
     // handshake excludes in the supported lifecycle. If that invariant
     // is ever violated, fail loudly and stop committing: the remaining
     // owners' reservations are returned un-enqueued rather than pushed
-    // into an untallied partial admit.
-    if (!systems_[owner]->SubmitReservedRouted(
-            std::move(routed->per_shard[owner]))) {
+    // into an uncounted partial admit.
+    if (!systems_[owners[i]]->SubmitReservedRouted(
+            IngestBatch{std::move(routed->per_shard[owners[i]]), ticket})) {
       KFLUSH_WARN("CommitReserved: shard "
-                  << owner
+                  << owners[i]
                   << " rejected a reserved sub-batch (stopped outside the "
                      "Stop() handshake); aborting commit");
-      for (size_t j = i + 1; j < routed->owners.size(); ++j) {
-        systems_[routed->owners[j]]->CancelIngestReservation();
+      for (size_t j = i + 1; j < owners.size(); ++j) {
+        systems_[owners[j]]->queue().CancelReservation();
       }
       return false;
     }
   }
-  accepted_.fetch_add(routed->records + routed->skipped,
-                      std::memory_order_relaxed);
-  skipped_no_terms_.fetch_add(routed->skipped, std::memory_order_relaxed);
-  routed_copies_.fetch_add(routed->copies, std::memory_order_relaxed);
+  store_.CountAdmitted(routed->tally);
   return true;
 }
 
-bool ShardedMicroblogSystem::Submit(std::vector<Microblog> batch) {
-  TraceSpan span("shard", "route_batch",
+ShardedMicroblogSystem::SubmitOutcome ShardedMicroblogSystem::Admit(
+    std::vector<Microblog> batch, bool block,
+    std::shared_ptr<IngestTicket> ticket, ShardedIngestStats* admitted) {
+  TraceSpan span("shard", block ? "route_batch" : "try_route_batch",
                  {TraceArg::Uint("records", batch.size()),
                   TraceArg::Uint("shards", systems_.size())});
-  if (!BeginSubmit()) {
-    span.End({TraceArg::Uint("copies", 0)});
-    return false;
-  }
-  RoutedBatch routed = RouteBatch(std::move(batch));
-  // Phase 1 — reserve a queue slot on every owner shard (blocking under
-  // per-shard backpressure) before enqueueing anything. If any
-  // reservation fails the already-held ones are returned and no shard
-  // saw any part of the batch: all-or-nothing, so false can never mean
-  // "partially inserted" and a caller retry cannot double-insert.
-  size_t held = 0;
-  bool ok = true;
-  for (; held < routed.owners.size(); ++held) {
-    if (!systems_[routed.owners[held]]->ReserveIngestSlot()) {
-      ok = false;
-      break;
-    }
-  }
-  if (!ok) {
-    for (size_t i = 0; i < held; ++i) {
-      systems_[routed.owners[i]]->CancelIngestReservation();
-    }
-    EndSubmit();
-    span.End({TraceArg::Uint("copies", 0)});
-    return false;
-  }
-  // Phase 2 — commit into the reserved slots (never blocks).
-  const bool accepted = CommitReserved(&routed);
-  EndSubmit();
-  span.End({TraceArg::Uint("copies", accepted ? routed.copies : 0)});
-  return accepted;
-}
-
-ShardedMicroblogSystem::SubmitOutcome ShardedMicroblogSystem::TrySubmit(
-    std::vector<Microblog> batch, uint64_t* admitted_records,
-    uint64_t* skipped_records, std::shared_ptr<IngestTicket> ticket) {
-  TraceSpan span("shard", "try_route_batch",
-                 {TraceArg::Uint("records", batch.size()),
-                  TraceArg::Uint("shards", systems_.size())});
-  if (admitted_records != nullptr) *admitted_records = 0;
-  if (skipped_records != nullptr) *skipped_records = 0;
   if (!BeginSubmit()) {
     span.End({TraceArg::Uint("copies", 0)});
     return SubmitOutcome::kStopped;
   }
-  RoutedBatch routed = RouteBatch(std::move(batch));
+  RoutedBatch routed = store_.RouteBatch(std::move(batch));
+  // Phase 1 — reserve a queue slot on every owner shard before enqueueing
+  // anything. If any reservation fails the already-held ones are returned
+  // and no shard saw any part of the batch: all-or-nothing, so a
+  // rejection never means "partially inserted" and a caller retry cannot
+  // double-insert.
   size_t held = 0;
-  bool ok = true;
   for (; held < routed.owners.size(); ++held) {
-    if (!systems_[routed.owners[held]]->TryReserveIngestSlot()) {
-      ok = false;
-      break;
-    }
+    BoundedQueue<IngestBatch>& queue = systems_[routed.owners[held]]->queue();
+    if (!(block ? queue.Reserve() : queue.TryReserve())) break;
   }
-  if (!ok) {
+  SubmitOutcome outcome = SubmitOutcome::kAccepted;
+  if (held < routed.owners.size()) {
     for (size_t i = 0; i < held; ++i) {
-      systems_[routed.owners[i]]->CancelIngestReservation();
+      systems_[routed.owners[i]]->queue().CancelReservation();
     }
-    EndSubmit();
-    span.End({TraceArg::Uint("copies", 0)});
-    return SubmitOutcome::kOverloaded;
+    // A blocking reservation fails only once reservations are aborted.
+    outcome = block ? SubmitOutcome::kStopped : SubmitOutcome::kOverloaded;
+  } else if (!CommitReserved(&routed, ticket)) {  // Phase 2: never blocks
+    outcome = SubmitOutcome::kStopped;
   }
-  if (ticket != nullptr && !routed.owners.empty()) {
-    // Attach before any sub-batch is enqueued: a digestion thread may
-    // start committing the moment CommitReserved pushes, and the final
-    // commit must observe the full remaining count.
-    ticket->remaining.store(static_cast<uint32_t>(routed.owners.size()),
-                            std::memory_order_relaxed);
-    for (size_t owner : routed.owners) {
-      routed.per_shard[owner].ticket = ticket;
-    }
-  }
-  const bool accepted = CommitReserved(&routed);
   EndSubmit();
-  span.End({TraceArg::Uint("copies", accepted ? routed.copies : 0)});
-  if (!accepted) return SubmitOutcome::kStopped;
+  const bool accepted = outcome == SubmitOutcome::kAccepted;
+  span.End({TraceArg::Uint("copies", accepted ? routed.tally.routed_copies
+                                              : 0)});
+  if (!accepted) return outcome;
   if (ticket != nullptr && routed.owners.empty()) {
     // Accepted with nothing to digest (every record term-less): the
     // commit stage completes at admission.
     ticket->Complete();
   }
-  if (admitted_records != nullptr) *admitted_records = routed.records;
-  if (skipped_records != nullptr) *skipped_records = routed.skipped;
-  return SubmitOutcome::kAccepted;
+  *admitted = routed.tally;
+  return outcome;
+}
+
+bool ShardedMicroblogSystem::Submit(std::vector<Microblog> batch) {
+  ShardedIngestStats admitted;
+  return Admit(std::move(batch), /*block=*/true, nullptr, &admitted) ==
+         SubmitOutcome::kAccepted;
+}
+
+ShardedMicroblogSystem::SubmitOutcome ShardedMicroblogSystem::TrySubmit(
+    std::vector<Microblog> batch, uint64_t* admitted_records,
+    uint64_t* skipped_records, std::shared_ptr<IngestTicket> ticket) {
+  ShardedIngestStats admitted;
+  const SubmitOutcome outcome =
+      Admit(std::move(batch), /*block=*/false, std::move(ticket), &admitted);
+  if (admitted_records != nullptr) {
+    *admitted_records = admitted.submitted - admitted.skipped_no_terms;
+  }
+  if (skipped_records != nullptr) {
+    *skipped_records = admitted.skipped_no_terms;
+  }
+  return outcome;
 }
 
 size_t ShardedMicroblogSystem::max_queue_depth() const {
@@ -232,11 +177,7 @@ size_t ShardedMicroblogSystem::total_queue_depth() const {
 }
 
 Result<QueryResult> ShardedMicroblogSystem::Query(const TopKQuery& query) {
-  return engine_->Execute(query);
-}
-
-void ShardedMicroblogSystem::SetK(uint32_t k) {
-  for (auto& system : systems_) system->store()->SetK(k);
+  return store_.engine()->Execute(query);
 }
 
 uint64_t ShardedMicroblogSystem::digested() const {

@@ -1,24 +1,23 @@
-// ShardedMicroblogSystem: the threaded deployment (paper Figure 2) — N
-// MicroblogSystem shard units (each with its own bounded ingest queue,
-// digestion thread, and background flusher), fed by a routing Submit()
-// that stamps records centrally and splits each producer batch into
-// per-shard routed sub-batches; one shard is the single node. Flush
-// cycles run concurrently on independent shard locks (each shard's
-// flusher drives only its own store); queries run on one QueryEngine
-// over the shard stores. The network front-end, the digestion-rate
-// experiment (Figure 10(b)) and bench_shard_scaling drive this assembly.
+// ShardedMicroblogSystem: the threads that drive the deployment (paper
+// Figure 2). It owns one ShardedMicroblogStore and runs one
+// MicroblogSystem per shard over it (a bounded ingest queue, a digestion
+// thread and a background flusher); one shard is the single node. Submit()
+// has the store stamp and route each producer batch, then admits the
+// per-shard sub-batches to the queues all or nothing. Flush cycles run
+// concurrently on independent shard locks (each shard's flusher drives
+// only its own store); queries run on the store's QueryEngine. The
+// network front-end, the digestion-rate experiment (Figure 10(b)) and
+// bench_shard_scaling drive this assembly.
 
 #ifndef KFLUSH_CORE_SHARDED_SYSTEM_H_
 #define KFLUSH_CORE_SHARDED_SYSTEM_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <vector>
 
-#include "core/shard_layout.h"
-#include "core/query_engine.h"
+#include "core/sharded_store.h"
 #include "core/system.h"
 
 namespace kflush {
@@ -26,8 +25,8 @@ namespace kflush {
 /// Sharded system configuration.
 struct ShardedSystemOptions {
   /// Per-shard template; store.memory_budget_bytes is the TOTAL budget
-  /// (split by ShardStoreOptions), queue capacity and stall factor apply
-  /// per shard.
+  /// (split across the shards by ShardedMicroblogStore), the queue
+  /// capacity applies per shard.
   SystemOptions system;
   size_t num_shards = 1;
 };
@@ -86,60 +85,49 @@ class ShardedMicroblogSystem {
   /// Fan-out query against current contents (thread-safe, any time).
   Result<QueryResult> Query(const TopKQuery& query);
 
-  /// Changes k on every shard.
-  void SetK(uint32_t k);
+  /// The store's DurabilityStatus().
+  Status DurabilityStatus() const { return store_.DurabilityStatus(); }
 
-  /// The shard-layout check's failure (OpenShardLayout; the shards then
-  /// run non-durably), else the first non-OK shard durability status (OK
-  /// with durability disabled).
-  Status DurabilityStatus() const;
-
+  /// The store this system drives: queries, SetK and the Aggregated*
+  /// readers.
+  ShardedMicroblogStore* store() { return &store_; }
   size_t num_shards() const { return systems_.size(); }
-  MicroblogStore* shard_store(size_t i) { return systems_[i]->store(); }
-  QueryEngine* engine() { return engine_.get(); }
-  const ShardRouter& router() const { return routing_.router(); }
+  MicroblogStore* shard_store(size_t i) { return store_.shard(i); }
 
   /// Records in admitted batches (including term-less records that were
   /// dropped by the router); rejected batches contribute nothing.
-  uint64_t accepted() const {
-    return accepted_.load(std::memory_order_relaxed);
-  }
+  uint64_t accepted() const { return store_.sharded_ingest_stats().submitted; }
   /// Per-shard record copies routed (a record on s shards counts s).
   uint64_t routed_copies() const {
-    return routed_copies_.load(std::memory_order_relaxed);
+    return store_.sharded_ingest_stats().routed_copies;
   }
   /// Term-less records dropped by the router.
   uint64_t skipped_no_terms() const {
-    return skipped_no_terms_.load(std::memory_order_relaxed);
+    return store_.sharded_ingest_stats().skipped_no_terms;
   }
   /// Sum of copies digested across shards.
   uint64_t digested() const;
 
  private:
-  /// A producer batch routed into per-shard sub-batches plus its tallies;
-  /// tallies are applied to the counters only if admission succeeds, so a
-  /// rejected batch leaves no accounting trace (a retry re-counts).
-  struct RoutedBatch {
-    std::vector<IngestBatch> per_shard;
-    std::vector<size_t> owners;  // shards with a non-empty sub-batch
-    uint64_t records = 0;        // records admitted with >=1 term
-    uint64_t skipped = 0;        // term-less records dropped
-    uint64_t copies = 0;         // per-shard record copies
-  };
-
-  RoutedBatch RouteBatch(std::vector<Microblog> batch);
+  /// The one admission routine behind Submit (`block`: wait for queue
+  /// space) and TrySubmit (reject when a queue is full). On kAccepted,
+  /// `*admitted` holds the batch's tally; otherwise it stays zero.
+  SubmitOutcome Admit(std::vector<Microblog> batch, bool block,
+                      std::shared_ptr<IngestTicket> ticket,
+                      ShardedIngestStats* admitted);
   /// Registers an in-flight submit; false once stopping (nothing to undo).
   bool BeginSubmit();
   void EndSubmit();
-  /// Pushes every owner sub-batch into its reserved slot and applies the
-  /// tallies. Requires a reservation held on every owner shard.
-  bool CommitReserved(RoutedBatch* routed);
+  /// Pushes every owner sub-batch into its reserved slot and counts the
+  /// batch. Requires a reservation held on every owner shard.
+  bool CommitReserved(RoutedBatch* routed,
+                      const std::shared_ptr<IngestTicket>& ticket);
 
-  ShardedSystemOptions options_;
-  IngestRouter routing_;
-  Status layout_status_;
+  // Declared before the shard systems, so every digestion and flusher
+  // thread has joined before any shard store (and its final WAL commit)
+  // is destroyed.
+  ShardedMicroblogStore store_;
   std::vector<std::unique_ptr<MicroblogSystem>> systems_;
-  std::unique_ptr<QueryEngine> engine_;
 
   // Stop() handshake: new submits are refused once stopping_ is set, and
   // shard teardown waits for in-flight submits to unwind (their blocked
@@ -149,10 +137,6 @@ class ShardedMicroblogSystem {
   std::condition_variable submit_cv_;
   bool stopping_ = false;
   size_t in_flight_submits_ = 0;
-
-  std::atomic<uint64_t> accepted_{0};
-  std::atomic<uint64_t> routed_copies_{0};
-  std::atomic<uint64_t> skipped_no_terms_{0};
 };
 
 }  // namespace kflush

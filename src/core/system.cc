@@ -19,15 +19,9 @@ void IngestTicket::Complete() {
   }
 }
 
-MicroblogSystem::MicroblogSystem(SystemOptions options)
-    : options_(std::move(options)),
-      store_([this] {
-        // The system owns flushing; the store must not flush inline.
-        StoreOptions so = options_.store;
-        so.auto_flush = false;
-        return std::make_unique<MicroblogStore>(so);
-      }()),
-      queue_(options_.ingest_queue_capacity) {
+MicroblogSystem::MicroblogSystem(MicroblogStore* store,
+                                 size_t ingest_queue_capacity)
+    : store_(store), queue_(ingest_queue_capacity) {
   MetricsRegistry* registry = store_->metrics_registry();
   queue_depth_gauge_ = registry->gauge("system.queue_depth");
   batches_submitted_ = registry->counter("system.batches_submitted");
@@ -88,9 +82,10 @@ bool MicroblogSystem::SubmitReservedRouted(IngestBatch batch) {
 }
 
 void MicroblogSystem::DigestionLoop() {
-  const size_t budget = options_.store.memory_budget_bytes;
+  const size_t budget = store_->options().memory_budget_bytes;
   const size_t stall_threshold = static_cast<size_t>(
-      static_cast<double>(budget) * options_.ingest_stall_factor);
+      static_cast<double>(budget) * kIngestStallFactor);
+  const int shard = store_->options().shard_id;
   while (true) {
     auto batch = queue_.Pop();
     if (!batch.has_value()) break;  // queue closed and drained
@@ -102,13 +97,12 @@ void MicroblogSystem::DigestionLoop() {
     TraceSpan span("system", "digest_batch",
                    {TraceArg::Uint("records", batch->blogs.size()),
                     TraceArg::Uint("queue_depth", queue_.approx_size()),
-                    TraceArg::Int("shard", options_.store.shard_id)});
+                    TraceArg::Int("shard", shard)});
     if (batch->ticket != nullptr) {
       // Continue the request flow on this digestion thread, inside the
       // digest span so the arc binds to a slice.
       KFLUSH_TRACE_FLOW_STEP("net", "request", batch->ticket->request_id,
-                             TraceArg::Int("shard",
-                                           options_.store.shard_id));
+                             TraceArg::Int("shard", shard));
     }
     Stopwatch watch;
     CpuStopwatch cpu_watch;

@@ -1,11 +1,13 @@
-// MicroblogSystem: one shard of the threaded deployment of Figure 2 (the
-// public facade is ShardedMicroblogSystem; one shard is the single node).
-// The router pushes routed sub-batches into a bounded queue; one digestion
-// thread drains it into the shard's store in real time; a background
-// flusher thread wakes when memory fills and runs the policy's flush
-// cycle concurrently with digestion (paper §III: flushing phases run "in
-// a separate thread so that [they do] not noticeably interrupt the
-// continuous digestion of incoming data").
+// MicroblogSystem: the threads that drive one shard of the deployment of
+// Figure 2 (the public facade is ShardedMicroblogSystem; one shard is the
+// single node). It borrows the shard's store from the
+// ShardedMicroblogStore the facade owns. The facade pushes routed
+// sub-batches into a bounded queue; one digestion thread drains it into
+// the store in real time; a background flusher thread wakes when memory
+// fills and runs the policy's flush cycle concurrently with digestion
+// (paper §III: flushing phases run "in a separate thread so that [they
+// do] not noticeably interrupt the continuous digestion of incoming
+// data").
 
 #ifndef KFLUSH_CORE_SYSTEM_H_
 #define KFLUSH_CORE_SYSTEM_H_
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "core/metrics_registry.h"
+#include "core/sharded_store.h"
 #include "core/store.h"
 #include "util/thread_util.h"
 
@@ -28,10 +31,12 @@ struct SystemOptions {
   StoreOptions store;
   /// Capacity of the ingest queue, in batches.
   size_t ingest_queue_capacity = 1024;
-  /// Digestion pauses when data memory exceeds budget × this factor,
-  /// resuming once the flusher catches up (bounds memory under stress).
-  double ingest_stall_factor = 1.2;
 };
+
+/// Digestion pauses when a shard's data memory exceeds its budget × this
+/// factor, resuming once the flusher catches up (bounds memory under
+/// stress).
+inline constexpr double kIngestStallFactor = 1.2;
 
 /// Per-request observability ticket, threaded from the network front-end
 /// through routed admission to the durable commit of the final owner
@@ -64,24 +69,23 @@ struct IngestTicket {
   }
 };
 
-/// A queued unit of ingest work. `routed_terms` carries each record's
-/// pre-routed term subset (parallel to `blogs`, records pre-stamped — see
-/// MicroblogStore::InsertRouted), so a shard indexes only the terms it
-/// owns. `ticket`, when set, correlates this sub-batch back to the wire
-/// request that produced it.
-struct IngestBatch {
-  std::vector<Microblog> blogs;
-  std::vector<std::vector<TermId>> routed_terms;
+/// A queued unit of ingest work: one shard's part of a routed batch, so
+/// the shard indexes only the terms it owns. `ticket`, when set,
+/// correlates this sub-batch back to the wire request that produced it.
+struct IngestBatch : ShardBatch {
   std::shared_ptr<IngestTicket> ticket;
 };
 
-/// One threaded shard. Start() launches the digestion and flusher
+/// The threads of one shard. Start() launches the digestion and flusher
 /// threads; Stop() drains and joins them. A system runs once: after
 /// Stop() the ingest queue is closed for good (construct a new system to
-/// restart), though its store stays queryable.
+/// restart), though the store stays queryable.
 class MicroblogSystem {
  public:
-  explicit MicroblogSystem(SystemOptions options);
+  /// Drives `store`, which must outlive the system and must not flush
+  /// inline (StoreOptions::auto_flush off): the flusher thread owns
+  /// flushing.
+  MicroblogSystem(MicroblogStore* store, size_t ingest_queue_capacity);
   ~MicroblogSystem();
 
   MicroblogSystem(const MicroblogSystem&) = delete;
@@ -96,20 +100,12 @@ class MicroblogSystem {
   /// released rather than waited on.
   void Stop();
 
-  // Two-phase admission, used by ShardedMicroblogSystem for all-or-nothing
-  // routed submits across shards: reserve one ingest-queue slot on every
-  // owner shard first, then push every sub-batch into its reserved slot
-  // (which never blocks), or cancel every reservation and admit nothing.
-
-  /// Claims one ingest-queue slot, blocking under backpressure. False once
-  /// the system stopped or reservations were aborted.
-  bool ReserveIngestSlot() { return queue_.Reserve(); }
-  /// Non-blocking ReserveIngestSlot: false when the queue is full.
-  bool TryReserveIngestSlot() { return queue_.TryReserve(); }
-  /// Returns an unused reservation.
-  void CancelIngestReservation() { queue_.CancelReservation(); }
-  /// Releases producers blocked in ReserveIngestSlot (permanently).
-  void AbortIngestReservations() { queue_.AbortReservations(); }
+  /// The ingest queue. ShardedMicroblogSystem admits a routed batch all or
+  /// nothing across shards: it reserves one slot on every owner shard's
+  /// queue first, then pushes every sub-batch into its reserved slot
+  /// (SubmitReservedRouted, which never blocks), or cancels every
+  /// reservation and admits nothing.
+  BoundedQueue<IngestBatch>& queue() { return queue_; }
   /// Enqueues into a reserved slot; false (nothing enqueued) iff stopped.
   bool SubmitReservedRouted(IngestBatch batch);
 
@@ -119,14 +115,11 @@ class MicroblogSystem {
   /// Total microblogs digested so far.
   uint64_t digested() const { return digested_.load(std::memory_order_relaxed); }
 
-  MicroblogStore* store() { return store_.get(); }
-
  private:
   void DigestionLoop();
   void FlusherLoop();
 
-  SystemOptions options_;
-  std::unique_ptr<MicroblogStore> store_;
+  MicroblogStore* const store_;
   BoundedQueue<IngestBatch> queue_;
 
   std::thread digestion_thread_;

@@ -43,7 +43,7 @@ uint64_t PackTag(int fd, uint32_t gen) {
 
 NetServer::NetServer(ShardedMicroblogSystem* system, ServerOptions options)
     : system_(system), options_(std::move(options)) {
-  subs_ = MakeSubscriptions(system_->engine());
+  subs_ = MakeSubscriptions(system_->store()->engine());
   c_sub_pushes_ = subs_->metrics_registry()->counter("sub.pushes");
   MetricsRegistry* r = registry_.get();
   c_connections_accepted_ = r->counter("net.connections_accepted");
@@ -742,14 +742,8 @@ std::string NetServer::PrometheusText() const {
   // there is more than one shard — duplicates otherwise), then the
   // server's own net.* families merged on top. Name collisions cannot
   // happen: shard registries never register net.* instruments.
-  std::vector<MetricsSnapshot> parts;
-  parts.reserve(system_->num_shards());
-  for (size_t i = 0; i < system_->num_shards(); ++i) {
-    parts.push_back(system_->shard_store(i)->metrics_registry()->Snapshot());
-  }
-  MetricsSnapshot merged =
-      AggregateSnapshots(parts, /*include_per_shard=*/system_->num_shards() >
-                                    1);
+  MetricsSnapshot merged = system_->store()->AggregatedMetrics(
+      /*include_per_shard=*/system_->num_shards() > 1);
   MetricsSnapshot net = registry_->Snapshot();
   for (auto& [name, value] : net.counters) merged.counters[name] = value;
   for (auto& [name, value] : net.gauges) merged.gauges[name] = value;

@@ -25,30 +25,22 @@
 
 namespace kflush {
 
-/// Shared maintenance of a disk-side posting list, kept score-ASCENDING in
-/// storage and read back-to-front at query time. Flushing registers
+/// Shared maintenance of a disk-side posting list, kept in ascending
+/// RanksBefore order (the reverse of memory's) and read back-to-front at
+/// query time, so the descending read yields (score desc, id desc) — the
+/// order of the in-memory lists and of every answer, and a top-k
+/// truncation at either tier picks identical winners. Flushing registers
 /// postings in roughly score order (temporal ranking scores grow with
-/// arrival time), so the common case is an O(1) push_back — the
-/// descending layout this replaced memmoved the whole list per insert.
-/// Among equal scores the earliest registration sits at the highest index,
-/// so a backward read serves equal scores in registration order (the
-/// contract replayable-run tests pin). Returns false on a duplicate
-/// (term, id) registration, which is skipped.
+/// arrival time), so the common case is an O(1) push_back. Returns false
+/// on a duplicate (term, id) registration, which is skipped.
 inline bool DiskPostingInsertAscending(std::vector<Posting>* list,
                                        MicroblogId id, double score) {
-  auto lo = std::lower_bound(
-      list->begin(), list->end(), score,
-      [](const Posting& p, double s) { return p.score < s; });
-  // Keep equal scores ordered by ascending id, so the descending read in
-  // DiskPostingsTopN yields (score desc, id desc) — the same total order
-  // the query engine's Materialize and the in-memory posting lists use;
-  // a top-k truncation at either tier then picks identical winners.
-  while (lo != list->end() && lo->score == score) {
-    if (lo->id == id) return false;
-    if (lo->id > id) break;
-    ++lo;
-  }
-  list->insert(lo, Posting{id, score});
+  const Posting posting{id, score};
+  auto slot = std::lower_bound(
+      list->begin(), list->end(), posting,
+      [](const Posting& a, const Posting& b) { return RanksBefore(b, a); });
+  if (slot != list->end() && slot->id == id) return false;
+  list->insert(slot, posting);
   return true;
 }
 

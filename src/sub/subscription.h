@@ -61,21 +61,6 @@ struct SubDelta {
   Microblog record;
 };
 
-/// One member of a standing result, in the engine's materialization
-/// order: higher score first, ties broken by higher id.
-struct SubMember {
-  double score = 0.0;
-  MicroblogId id = kInvalidMicroblogId;
-};
-
-/// The exact (score desc, id desc) order QueryEngine::Materialize sorts
-/// answers by; standing results and the fan-out merge must preserve it.
-inline bool SubMemberBetter(double a_score, MicroblogId a_id, double b_score,
-                            MicroblogId b_id) {
-  if (a_score != b_score) return a_score > b_score;
-  return a_id > b_id;
-}
-
 }  // namespace kflush
 
 #endif  // KFLUSH_SUB_SUBSCRIPTION_H_

@@ -225,7 +225,7 @@ Status SubscriptionManager::SetK(uint64_t sub_id, uint32_t k) {
     // Shrink: trim the worst tail, emitting exits so the folded stream
     // stays exactly the reference top-k.
     while (sub->members.size() > k) {
-      SubMember worst = sub->members.back();
+      Posting worst = sub->members.back();
       sub->members.pop_back();
       sub->member_ids.erase(worst.id);
       EmitLocked(sub.get(), SubDeltaKind::kExit, worst.score, worst.id,
@@ -273,24 +273,20 @@ bool SubscriptionManager::Offer(Subscription* sub, const Microblog& blog,
                                 double score) {
   std::lock_guard<std::mutex> lock(sub->mu);
   if (sub->member_ids.count(blog.id) > 0) return false;  // duplicate offer
-  SubMember incoming{score, blog.id};
+  Posting incoming{blog.id, score};
   if (sub->members.size() >= sub->k) {
-    const SubMember& worst = sub->members.back();
-    if (!SubMemberBetter(incoming.score, incoming.id, worst.score, worst.id)) {
+    if (!RanksBefore(incoming, sub->members.back())) {
       return false;  // does not make the top-k
     }
-    SubMember displaced = sub->members.back();
+    Posting displaced = sub->members.back();
     sub->members.pop_back();
     sub->member_ids.erase(displaced.id);
     EmitLocked(sub, SubDeltaKind::kExit, displaced.score, displaced.id,
                nullptr, nullptr);
     TrackExit(displaced.id, sub->id);
   }
-  auto pos = std::lower_bound(
-      sub->members.begin(), sub->members.end(), incoming,
-      [](const SubMember& a, const SubMember& b) {
-        return SubMemberBetter(a.score, a.id, b.score, b.id);
-      });
+  auto pos = std::lower_bound(sub->members.begin(), sub->members.end(),
+                              incoming, RanksBefore);
   sub->members.insert(pos, incoming);
   sub->member_ids.insert(blog.id);
   EmitLocked(sub, SubDeltaKind::kEnter, score, blog.id, &blog, nullptr);
@@ -426,7 +422,7 @@ bool SubscriptionManager::HasUndrainedDeltas(uint64_t sub_id) const {
 }
 
 bool SubscriptionManager::SnapshotMembers(uint64_t sub_id,
-                                          std::vector<SubMember>* out) const {
+                                          std::vector<Posting>* out) const {
   std::shared_ptr<Subscription> sub;
   {
     std::shared_lock<std::shared_mutex> lock(registry_mu_);

@@ -39,6 +39,7 @@
 
 #include "core/metrics_registry.h"
 #include "core/query_engine.h"
+#include "index/posting_list.h"
 #include "sub/subscription.h"
 #include "sub/subscription_sink.h"
 #include "util/status.h"
@@ -107,7 +108,7 @@ class SubscriptionManager : public SubscriptionSink {
 
   /// Copies the current standing result, best-first. Returns false for
   /// unknown ids.
-  bool SnapshotMembers(uint64_t sub_id, std::vector<SubMember>* out) const;
+  bool SnapshotMembers(uint64_t sub_id, std::vector<Posting>* out) const;
 
   /// Applies queued eviction refills now (DrainDeltas does this
   /// implicitly; tests call it to reach quiescence without draining).
@@ -140,7 +141,7 @@ class SubscriptionManager : public SubscriptionSink {
 
     mutable std::mutex mu;
     uint32_t k = 0;                   // guarded by mu
-    std::vector<SubMember> members;   // guarded by mu; best-first
+    std::vector<Posting> members;     // guarded by mu; RanksBefore order
     std::unordered_set<MicroblogId> member_ids;  // guarded by mu
     std::deque<SubDelta> outbox;      // guarded by mu
     uint64_t next_seq = 1;            // guarded by mu

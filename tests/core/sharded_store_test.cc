@@ -276,7 +276,7 @@ TEST(ShardedSystem, SetKAppliesToEveryShard) {
   options.system.store = SmallStoreOptions(PolicyKind::kKFlushing);
   options.num_shards = 2;
   ShardedMicroblogSystem system(options);
-  system.SetK(9);
+  system.store()->SetK(9);
   for (size_t i = 0; i < system.num_shards(); ++i) {
     EXPECT_EQ(system.shard_store(i)->k(), 9u);
   }

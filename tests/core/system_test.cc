@@ -53,7 +53,7 @@ TEST(MicroblogSystemTest, BackgroundFlusherBoundsMemory) {
   // Memory stayed within the stall ceiling.
   EXPECT_LE(system.shard_store(0)->tracker().DataUsed(),
             static_cast<size_t>(opts.system.store.memory_budget_bytes *
-                                opts.system.ingest_stall_factor * 1.1));
+                                kIngestStallFactor * 1.1));
   // Flushes actually ran and data reached disk.
   EXPECT_GT(system.shard_store(0)->ingest_stats().flush_triggers, 0u);
   EXPECT_GT(system.shard_store(0)->disk()->NumRecords(), 0u);

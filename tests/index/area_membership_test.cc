@@ -88,8 +88,8 @@ TEST(AreaContains, OneShotAndSubscriptionAgreeWithBruteForce) {
   const RankingFunction* ranking = store.ranking();
   std::sort(expect.begin(), expect.end(),
             [&](const Microblog* a, const Microblog* b) {
-              return SubMemberBetter(ranking->Score(*a), a->id,
-                                     ranking->Score(*b), b->id);
+              return RanksBefore({a->id, ranking->Score(*a)},
+                                 {b->id, ranking->Score(*b)});
             });
   if (expect.size() > k) expect.resize(k);
 
@@ -109,7 +109,7 @@ TEST(AreaContains, OneShotAndSubscriptionAgreeWithBruteForce) {
   spec.box = box;
   auto sub_id = subs->Subscribe(spec);
   ASSERT_TRUE(sub_id.ok()) << sub_id.status().ToString();
-  std::vector<SubMember> members;
+  std::vector<Posting> members;
   ASSERT_TRUE(subs->SnapshotMembers(*sub_id, &members));
   ASSERT_EQ(members.size(), expect.size());
   for (size_t i = 0; i < expect.size(); ++i) {

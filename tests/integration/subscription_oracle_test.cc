@@ -163,20 +163,17 @@ TEST_P(SubscriptionOracleTest, FoldedDeltasMatchBruteForceAtEveryProbe) {
 
   const RankingFunction* ranking = store.shard(0)->ranking();
   auto brute_force = [&](const StandingQuery& sub,
-                         size_t ingested) -> std::vector<SubMember> {
-    std::vector<SubMember> all;
+                         size_t ingested) -> std::vector<Posting> {
+    std::vector<Posting> all;
     for (size_t i = 0; i < ingested; ++i) {
       const Microblog& blog = stream[i];
       if (std::find(blog.keywords.begin(), blog.keywords.end(),
                     static_cast<KeywordId>(sub.term)) == blog.keywords.end()) {
         continue;
       }
-      all.push_back(SubMember{ranking->Score(blog), blog.id});
+      all.push_back(Posting{blog.id, ranking->Score(blog)});
     }
-    std::sort(all.begin(), all.end(),
-              [](const SubMember& a, const SubMember& b) {
-                return SubMemberBetter(a.score, a.id, b.score, b.id);
-              });
+    std::sort(all.begin(), all.end(), RanksBefore);
     if (all.size() > sub.k) all.resize(sub.k);
     return all;
   };
@@ -198,7 +195,7 @@ TEST_P(SubscriptionOracleTest, FoldedDeltasMatchBruteForceAtEveryProbe) {
       ASSERT_TRUE(sub.fold.ApplyAll(deltas))
           << "sub " << sub.id << " (term " << sub.term << ") after "
           << ingested << " inserts";
-      std::vector<SubMember> live;
+      std::vector<Posting> live;
       ASSERT_TRUE(subs->SnapshotMembers(sub.id, &live));
       ASSERT_TRUE(sub.fold.MatchesReference(live))
           << "folded stream diverged from live result, sub " << sub.id;

@@ -52,7 +52,7 @@ TEST_P(SubStressTest, ChurnRacesSaturatedIngestAndFlushes) {
   ShardedMicroblogSystem system(options);
   system.Start();
 
-  auto subs = MakeSubscriptions(system.engine());
+  auto subs = MakeSubscriptions(system.store()->engine());
   std::atomic<uint64_t> notifications{0};
   subs->set_notifier([&](uint64_t) {
     notifications.fetch_add(1, std::memory_order_relaxed);

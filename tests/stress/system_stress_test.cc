@@ -80,11 +80,11 @@ TEST_P(SystemStressTest, IngestFlushQuerySetKRace) {
           // Up to ~0.3 degrees per side: ~11x11 tiles at the default 0.029
           // degree tile edge, safely under SearchArea's 256-tile cap.
           const double half = 0.03 + 0.01 * static_cast<double>(rng.Uniform(13));
-          auto result = system.engine()->SearchArea(
+          auto result = system.store()->engine()->SearchArea(
               c.lat - half, c.lon - half, c.lat + half, c.lon + half, 10);
           if (!result.ok()) query_errors.fetch_add(1);
         } else if (cfg.attribute == AttributeKind::kUser && n % 8 == 0) {
-          auto result = system.engine()->SearchUser(
+          auto result = system.store()->engine()->SearchUser(
               static_cast<UserId>(1 + rng.Uniform(stream.num_users)), 10);
           if (!result.ok()) query_errors.fetch_add(1);
         } else {
@@ -102,7 +102,7 @@ TEST_P(SystemStressTest, IngestFlushQuerySetKRace) {
     const uint32_t ks[] = {5, 10, 20, 35};
     size_t i = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      system.SetK(ks[i++ % 4]);
+      system.store()->SetK(ks[i++ % 4]);
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
   });

@@ -104,18 +104,16 @@ class FoldPropertyRun {
 
   /// Reference top-k for one subscription over every record ever ingested
   /// (flushing moves records to disk, it never deletes them).
-  std::vector<SubMember> BruteForce(const LiveSub& sub) const {
-    std::vector<SubMember> all;
+  std::vector<Posting> BruteForce(const LiveSub& sub) const {
+    std::vector<Posting> all;
     for (const Microblog& blog : kept_) {
       if (std::find(blog.keywords.begin(), blog.keywords.end(),
                     static_cast<KeywordId>(sub.term)) == blog.keywords.end()) {
         continue;
       }
-      all.push_back(SubMember{store_.ranking()->Score(blog), blog.id});
+      all.push_back(Posting{blog.id, store_.ranking()->Score(blog)});
     }
-    std::sort(all.begin(), all.end(), [](const SubMember& a, const SubMember& b) {
-      return SubMemberBetter(a.score, a.id, b.score, b.id);
-    });
+    std::sort(all.begin(), all.end(), RanksBefore);
     if (all.size() > sub.k) all.resize(sub.k);
     return all;
   }
@@ -127,7 +125,7 @@ class FoldPropertyRun {
       ASSERT_TRUE(subs_->DrainDeltas(sub.id, &deltas));
       ASSERT_TRUE(sub.fold.ApplyAll(deltas)) << "sub " << sub.id;
       ASSERT_LE(sub.fold.members().size(), sub.k);
-      std::vector<SubMember> members;
+      std::vector<Posting> members;
       ASSERT_TRUE(subs_->SnapshotMembers(sub.id, &members));
       ASSERT_TRUE(sub.fold.MatchesReference(members))
           << "folded stream diverged from live result, sub " << sub.id;

@@ -99,7 +99,7 @@ TEST_F(SubscriptionManagerTest, UnknownIdsAreNotFound) {
   EXPECT_TRUE(subs_->SetK(999, 5).IsNotFound());
   std::vector<SubDelta> out;
   EXPECT_FALSE(subs_->DrainDeltas(999, &out));
-  std::vector<SubMember> members;
+  std::vector<Posting> members;
   EXPECT_FALSE(subs_->SnapshotMembers(999, &members));
 }
 
@@ -131,7 +131,7 @@ TEST_F(SubscriptionManagerTest, SeedsFromExistingRecords) {
     EXPECT_TRUE(RecordsEqual(delta.record, *it));
   }
   // Folded state equals the live standing result.
-  std::vector<SubMember> members;
+  std::vector<Posting> members;
   ASSERT_TRUE(subs_->SnapshotMembers(*sub, &members));
   EXPECT_TRUE(fold.MatchesReference(members));
 }
@@ -166,7 +166,7 @@ TEST_F(SubscriptionManagerTest, PublishesEntersAndDisplacementExits) {
   ASSERT_TRUE(subs_->DrainDeltas(*sub, &deltas));
   EXPECT_TRUE(deltas.empty());
 
-  std::vector<SubMember> members;
+  std::vector<Posting> members;
   ASSERT_TRUE(subs_->SnapshotMembers(*sub, &members));
   EXPECT_TRUE(fold.MatchesReference(members));
 }
@@ -291,7 +291,7 @@ TEST_F(SubscriptionManagerTest, EvictionSchedulesRefillThatIsANoOp) {
   deltas.clear();
   ASSERT_TRUE(subs_->DrainDeltas(*sub, &deltas));
   EXPECT_TRUE(deltas.empty());
-  std::vector<SubMember> members;
+  std::vector<Posting> members;
   ASSERT_TRUE(subs_->SnapshotMembers(*sub, &members));
   EXPECT_TRUE(fold.MatchesReference(members));
   EXPECT_EQ(members.size(), members_before);

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "index/posting_list.h"
 #include "sub/subscription.h"
 
 namespace kflush {
@@ -42,19 +43,16 @@ class DeltaFolder {
                  << "enter delta seq " << delta.seq << " carries record id "
                  << delta.record.id << " != delta id " << delta.id;
         }
-        SubMember incoming{delta.score, delta.id};
-        auto pos = std::lower_bound(
-            members_.begin(), members_.end(), incoming,
-            [](const SubMember& a, const SubMember& b) {
-              return SubMemberBetter(a.score, a.id, b.score, b.id);
-            });
+        Posting incoming{delta.id, delta.score};
+        auto pos = std::lower_bound(members_.begin(), members_.end(),
+                                    incoming, RanksBefore);
         members_.insert(pos, incoming);
         records_[delta.id] = delta.record;
         return ::testing::AssertionSuccess();
       }
       case SubDeltaKind::kExit: {
         auto it = std::find_if(members_.begin(), members_.end(),
-                               [&](const SubMember& m) {
+                               [&](const Posting& m) {
                                  return m.id == delta.id;
                                });
         if (it == members_.end()) {
@@ -90,11 +88,11 @@ class DeltaFolder {
 
   bool IsMember(MicroblogId id) const {
     return std::any_of(members_.begin(), members_.end(),
-                       [&](const SubMember& m) { return m.id == id; });
+                       [&](const Posting& m) { return m.id == id; });
   }
 
   /// Folded standing result, best-first (maintained sorted).
-  const std::vector<SubMember>& members() const { return members_; }
+  const std::vector<Posting>& members() const { return members_; }
 
   /// The full record each current member entered with.
   const std::unordered_map<MicroblogId, Microblog>& records() const {
@@ -106,7 +104,7 @@ class DeltaFolder {
 
   /// Exact (score, id) comparison against a reference top-k, best-first.
   ::testing::AssertionResult MatchesReference(
-      const std::vector<SubMember>& expect) const {
+      const std::vector<Posting>& expect) const {
     if (members_.size() != expect.size()) {
       return ::testing::AssertionFailure()
              << "folded size " << members_.size() << " != reference size "
@@ -126,7 +124,7 @@ class DeltaFolder {
 
  private:
   uint64_t next_seq_ = 1;
-  std::vector<SubMember> members_;
+  std::vector<Posting> members_;
   std::unordered_map<MicroblogId, Microblog> records_;
   bool terminated_ = false;
 };

@@ -40,8 +40,12 @@
 #                 KFLUSH_BENCH_SCALE=0.1 and `kflushctl compare
 #                 --memory-mb 8 --queries 3000` at 1 and 4 shards, and
 #                 diffs each stdout byte for byte against bench/golden/.
-#                 A change that moves a row on purpose regenerates them
-#                 and says why in CHANGES.md:
+#                 Then the query path's exact outputs: `perfbench/run.py
+#                 --workload query_replay --seed 1 --seconds 10 --trace 1`,
+#                 its answer, hit and disk-traffic metrics written one
+#                 `name value` per line at full precision, diffed the same
+#                 way. A change that moves a row on purpose regenerates
+#                 them and says why in CHANGES.md:
 #                   KFLUSH_BENCH_OUT=D scripts/check.sh figures
 #                   cp D/figures/*.txt bench/golden/
 #   bench-smoke - tiny-scale bench_snapshot run; validates the BENCH_*.json
@@ -82,11 +86,21 @@ FIGURE_BENCHES=(bench_fig5_memory_behavior bench_fig7_kfilled
                 bench_fig8_hit_correlated bench_fig9_hit_uniform
                 bench_fig11_spatial bench_fig12_user bench_ablation)
 FIGURE_COMPARE_SHARDS=(1 4)
+# The per-layer metrics of the traced query_replay run that must repeat
+# exactly: the answers, the hit ratios, and the disk and index traffic.
+QUERY_REPLAY_GOLDEN=bench/golden/perfbench_query_replay_seed1.txt
+QUERY_REPLAY_METRICS=(hit_ratio query.hit_ratio.single query.hit_ratio.and
+                      query.hit_ratio.or query.results_per_query
+                      query.answer_digest disk.term_reads_per_query
+                      disk.postings_read_per_result
+                      disk.records_read_per_query index.kfilled_terms
+                      flush.cycles route.copies_per_tweet)
 GOLDENS=()
 for b in "${FIGURE_BENCHES[@]}"; do GOLDENS+=("bench/golden/${b}.txt"); done
 for s in "${FIGURE_COMPARE_SHARDS[@]}"; do
   GOLDENS+=("bench/golden/kflushctl_compare_shards${s}.txt")
 done
+GOLDENS+=("${QUERY_REPLAY_GOLDEN}")
 GATE_BASELINES=("${INSERT_GATE_BASELINE}" "${GOLDENS[@]}")
 FAILED=()
 
@@ -240,6 +254,16 @@ job_figures() {
         --shards "${s}" > "${out}/kflushctl_compare_shards${s}.txt" \
         || return 1
   done
+  # run.py prints its result as one JSON object on the last line.
+  python3 perfbench/run.py --workload query_replay --seed 1 --seconds 10 \
+      --trace 1 > "${out}/perfbench_query_replay.out" || return 1
+  tail -n 1 "${out}/perfbench_query_replay.out" | python3 -c '
+import json, sys
+metrics = json.load(sys.stdin)["metrics"]
+for name in sys.argv[1:]:
+    print(name, json.dumps(metrics[name]["value"]))
+' "${QUERY_REPLAY_METRICS[@]}" \
+      > "${out}/$(basename "${QUERY_REPLAY_GOLDEN}")" || return 1
   for golden in "${GOLDENS[@]}"; do
     diff -u "${golden}" "${out}/$(basename "${golden}")" || rc=1
   done

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "core/topk_merge.h"
 #include "core/trace.h"
 #include "index/spatial_grid.h"
 
@@ -286,22 +285,23 @@ QueryEngine::QueryEngine(std::vector<MicroblogStore*> stores)
   for (MicroblogStore* store : stores) shards_.emplace_back(store);
 }
 
-Result<QueryResult> QueryEngine::EvaluateOnOwner(
-    MicroblogStore* store, const std::vector<TermId>& terms, uint32_t k,
-    bool force_disk, Cost* cost) {
+Result<QueryResult> QueryEngine::EvaluateOr(
+    const std::vector<TermId>& terms,
+    const std::vector<MicroblogStore*>& term_owner,
+    const std::vector<MicroblogStore*>& owners, uint32_t k, bool force_disk,
+    Cost* cost) {
   QueryResult result;
-  // Each term's best k memory postings, scores included; term i's are
-  // candidates[ends[i - 1], ends[i]).
+  // Each term's best k memory postings, read on its owner, scores
+  // included; term i's are candidates[ends[i - 1], ends[i]).
   std::vector<Posting> candidates;
   std::vector<size_t> ends(terms.size());
   for (size_t i = 0; i < terms.size(); ++i) {
-    store->policy()->QueryTerm(terms[i], k, &candidates,
-                               /*record_access=*/true);
+    term_owner[i]->policy()->QueryTerm(terms[i], k, &candidates);
     ends[i] = candidates.size();
   }
   cost->Charge(kPostings);
 
-  std::vector<TermId> disk_terms;  // terms whose disk top-k joins the answer
+  std::vector<size_t> disk_terms;  // positions whose disk top-k joins in
   bool all_k_filled = true;
   bool needs_proof = false;
   bool checked_disk = false;
@@ -309,31 +309,32 @@ Result<QueryResult> QueryEngine::EvaluateOnOwner(
     const size_t held = ends[i] - (i == 0 ? 0 : ends[i - 1]);
     if (held < k) {
       all_k_filled = false;
-      disk_terms.push_back(terms[i]);
+      disk_terms.push_back(i);
     } else if (force_disk) {
-      disk_terms.push_back(terms[i]);
+      disk_terms.push_back(i);
     } else {
       // The term's k-th memory posting must beat its best disk posting,
       // or the disk may hold part of the term's top-k.
       checked_disk = true;
-      if (!DiskCannotOutrank(store, terms[i], candidates[ends[i] - 1].score)) {
+      if (!DiskCannotOutrank(term_owner[i], terms[i],
+                             candidates[ends[i] - 1].score)) {
         needs_proof = true;
-        disk_terms.push_back(terms[i]);
+        disk_terms.push_back(i);
       }
     }
   }
   // OR hit rule (§IV-D): every term holds k in memory (single: the term).
   result.memory_hit = all_k_filled && !force_disk;
   cost->unproven = result.memory_hit && needs_proof;
-  for (TermId term : disk_terms) {
-    KFLUSH_RETURN_IF_ERROR(
-        ReadDiskTerm(store, term, k, &candidates, &cost->disk_term_reads));
+  for (size_t i : disk_terms) {
+    KFLUSH_RETURN_IF_ERROR(ReadDiskTerm(term_owner[i], terms[i], k,
+                                        &candidates, &cost->disk_term_reads));
   }
   if (checked_disk || !disk_terms.empty()) cost->Charge(kDisk);
 
   std::sort(candidates.begin(), candidates.end(), RanksBefore);
-  // A record under two of the terms (or on both tiers) sits twice in a
-  // row: keep one.
+  // A record under two of the terms (or on both tiers) has one score, so
+  // its postings sit in a row: keep one.
   candidates.erase(std::unique(candidates.begin(), candidates.end(),
                                [](const Posting& a, const Posting& b) {
                                  return a.id == b.id;
@@ -342,83 +343,23 @@ Result<QueryResult> QueryEngine::EvaluateOnOwner(
   cost->Charge(kMerge);
 
   NoMoreCandidates none;
-  KFLUSH_RETURN_IF_ERROR(Materialize(candidates, &none, k, {store}, &result));
+  KFLUSH_RETURN_IF_ERROR(Materialize(candidates, &none, k, owners, &result));
   cost->Charge(kMaterialize);
   return result;
 }
 
-Result<QueryResult> QueryEngine::EvaluateOr(const std::vector<TermId>& terms,
-                                            uint32_t k, bool force_disk,
-                                            Cost* cost) {
-  // Group terms by owning shard, preserving term order within a group and
-  // first-touch order across groups.
-  std::vector<std::vector<TermId>> groups(shards_.size());
-  std::vector<size_t> order;
-  for (TermId term : terms) {
-    const size_t owner = router_.ShardForTerm(term);
-    if (groups[owner].empty()) order.push_back(owner);
-    groups[owner].push_back(term);
-  }
-  if (order.size() == 1) {
-    // All terms colocated: the owning shard's answer IS the answer.
-    return EvaluateOnOwner(shards_[order[0]].store, groups[order[0]], k,
-                           force_disk, cost);
-  }
-
-  QueryResult merged;
-  merged.memory_hit = true;
-  bool group_unproven = false;
-  std::vector<std::vector<Microblog>> lists;
-  lists.reserve(order.size());
-  for (size_t owner : order) {
-    Result<QueryResult> r = EvaluateOnOwner(shards_[owner].store,
-                                            groups[owner], k, force_disk,
-                                            cost);
-    if (!r.ok()) return r.status();
-    // The OR hit rule (every term holds >= k in memory) distributes over
-    // the partition: the query is a hit iff every group is.
-    merged.memory_hit = merged.memory_hit && r->memory_hit;
-    group_unproven = group_unproven || cost->unproven;
-    merged.from_memory += r->from_memory;
-    merged.from_disk += r->from_disk;
-    lists.push_back(std::move(r->results));
-  }
-  cost->unproven = merged.memory_hit && group_unproven;
-
-  const RankingFunction* ranking = shards_[0].store->ranking();
-  merged.results = BoundedTopKMerge(
-      lists, k,
-      [&](const Microblog& a, const Microblog& b) {
-        const double sa = ranking->Score(a);
-        const double sb = ranking->Score(b);
-        if (sa != sb) return sa > sb;
-        return a.id > b.id;
-      },
-      [](const Microblog& a, const Microblog& b) { return a.id == b.id; });
-  cost->Charge(kMerge);
-  return merged;
-}
-
-Result<QueryResult> QueryEngine::EvaluateAnd(const std::vector<TermId>& terms,
-                                             uint32_t k, bool force_disk,
-                                             Cost* cost) {
+Result<QueryResult> QueryEngine::EvaluateAnd(
+    const std::vector<TermId>& terms,
+    const std::vector<MicroblogStore*>& term_owner,
+    const std::vector<MicroblogStore*>& owners, uint32_t k, bool force_disk,
+    Cost* cost) {
   QueryResult result;
-  std::vector<MicroblogStore*> term_owner(terms.size());
-  std::vector<MicroblogStore*> owners;  // distinct, in term order
-  for (size_t i = 0; i < terms.size(); ++i) {
-    term_owner[i] = OwnerOf(terms[i]).store;
-    if (std::find(owners.begin(), owners.end(), term_owner[i]) ==
-        owners.end()) {
-      owners.push_back(term_owner[i]);
-    }
-  }
   // Every term's whole in-memory list. Read under force_disk too: the
   // exact path below needs it, and the read stamps the term's last-query
   // time (kFlushing Phase 3's key).
   std::vector<std::vector<Posting>> memory(terms.size());
   for (size_t i = 0; i < terms.size(); ++i) {
-    term_owner[i]->policy()->QueryTerm(terms[i], kNoLimit, &memory[i],
-                                       /*record_access=*/true);
+    term_owner[i]->policy()->QueryTerm(terms[i], kNoLimit, &memory[i]);
   }
   cost->Charge(kPostings);
 
@@ -496,10 +437,23 @@ Result<QueryResult> QueryEngine::Execute(const TopKQuery& query) {
                   TraceArg::Uint("k", k),
                   TraceArg::Uint("shards", shards_.size())});
   Cost cost;
+  // Each term's owner, and the distinct owners in term order: where its
+  // postings are read, and where the answer's records are fetched.
+  std::vector<MicroblogStore*> term_owner(query.terms.size());
+  std::vector<MicroblogStore*> owners;
+  for (size_t i = 0; i < query.terms.size(); ++i) {
+    term_owner[i] = OwnerOf(query.terms[i]).store;
+    if (std::find(owners.begin(), owners.end(), term_owner[i]) ==
+        owners.end()) {
+      owners.push_back(term_owner[i]);
+    }
+  }
   Result<QueryResult> result =
       query.type == QueryType::kAnd
-          ? EvaluateAnd(query.terms, k, query.force_disk, &cost)
-          : EvaluateOr(query.terms, k, query.force_disk, &cost);
+          ? EvaluateAnd(query.terms, term_owner, owners, k, query.force_disk,
+                        &cost)
+          : EvaluateOr(query.terms, term_owner, owners, k, query.force_disk,
+                       &cost);
   if (!result.ok()) {
     span.End({TraceArg::Str("outcome", "error")});
     return result;
@@ -583,8 +537,8 @@ Result<QueryResult> QueryEngine::SearchArea(double min_lat, double min_lon,
   query.force_disk = force_disk;
   const uint32_t want = k != 0 ? k : shards_[0].store->k();
   // Records in boundary tiles that fall outside the box are dropped after
-  // top-k materialization (after the cross-shard merge, when sharded),
-  // which can under-fill the answer even when k matching records exist.
+  // top-k materialization, which can under-fill the answer even when k
+  // matching records exist.
   // Over-fetch and widen geometrically until the box's top-k is filled or
   // the tiles are exhausted (the underlying query returning fewer than it
   // was asked for means there is nothing left).

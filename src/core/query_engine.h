@@ -26,15 +26,20 @@
 // evaluation walks the lists in rank order, takes scores from the
 // postings, and stops at the k-th qualifying record:
 //
-//   single : on the term's owner.
-//   OR     : terms group by owner; each group is answered on its store,
-//            and two or more group answers k-way-merge (BoundedTopKMerge).
+//   single,
+//   OR     : each term's memory top-k is read on its owner, plus its
+//            disk top-k when memory does not provably hold the term's
+//            top-k, into one pool sorted in rank order (a record pooled
+//            twice is kept once).
 //   AND    : each term's in-memory list is read on its owner and the
 //            lists' union is walked in rank order up to the k-th record
 //            carrying every term (a record in every list qualifies
 //            without a record read). A miss (or an unproven hit) merges
 //            each term's memory and disk lists into one cursor and
 //            leapfrog-intersects the cursors up to the k-th common record.
+//
+// Either way the ranked candidates are materialized once, up to k
+// records, at every shard count.
 //
 // Each query is recorded once — type, memory hit, the disk term reads it
 // issued, latency and its split into stages — in the query.* series of
@@ -162,16 +167,18 @@ class QueryEngine {
 
   Shard& OwnerOf(TermId term) { return shards_[router_.ShardForTerm(term)]; }
 
-  /// Single and OR.
-  Result<QueryResult> EvaluateOr(const std::vector<TermId>& terms, uint32_t k,
-                                 bool force_disk, Cost* cost);
-  /// The OR of `terms`, all owned by `store`.
-  Result<QueryResult> EvaluateOnOwner(MicroblogStore* store,
-                                      const std::vector<TermId>& terms,
-                                      uint32_t k, bool force_disk,
-                                      Cost* cost);
-  Result<QueryResult> EvaluateAnd(const std::vector<TermId>& terms, uint32_t k,
-                                  bool force_disk, Cost* cost);
+  /// Single and OR. `term_owner[i]` owns `terms[i]`; `owners` are the
+  /// distinct owners, in term order.
+  Result<QueryResult> EvaluateOr(const std::vector<TermId>& terms,
+                                 const std::vector<MicroblogStore*>& term_owner,
+                                 const std::vector<MicroblogStore*>& owners,
+                                 uint32_t k, bool force_disk, Cost* cost);
+  /// AND, over the same owner lists.
+  Result<QueryResult> EvaluateAnd(
+      const std::vector<TermId>& terms,
+      const std::vector<MicroblogStore*>& term_owner,
+      const std::vector<MicroblogStore*>& owners, uint32_t k, bool force_disk,
+      Cost* cost);
 
   /// Records one end-to-end surface sample in the spatial or user
   /// histogram pair of `term`'s owner.

@@ -29,10 +29,8 @@ void FifoPolicy::Insert(const Microblog& blog, const std::vector<TermId>& terms,
 }
 
 size_t FifoPolicy::QueryTerm(TermId term, size_t limit,
-                             std::vector<Posting>* out,
-                             bool record_access) {
+                             std::vector<Posting>* out) {
   // FIFO keeps no recency metadata; queries are pure reads.
-  (void)record_access;
   return index_.Query(term, limit, out);
 }
 

@@ -26,8 +26,8 @@ class FifoPolicy : public FlushPolicy {
 
   void Insert(const Microblog& blog, const std::vector<TermId>& terms,
               double score) override;
-  size_t QueryTerm(TermId term, size_t limit, std::vector<Posting>* out,
-                   bool record_access) override;
+  size_t QueryTerm(TermId term, size_t limit,
+                   std::vector<Posting>* out) override;
   size_t EntrySize(TermId term) const override;
 
   size_t NumTerms() const override;

@@ -127,13 +127,13 @@ class FlushPolicy {
   /// Appends up to `limit` best-ranked in-memory postings for `term` to
   /// `out` in (score desc, id desc) order — each the record id plus the
   /// score fixed at its arrival (§IV-B), so readers never re-read the
-  /// record to rank it. Returns the count appended. When `record_access`
-  /// is true the call is a user query and recency metadata is updated
-  /// (last-query time for kFlushing Phase 3, list touches for LRU).
+  /// record to rank it. Returns the count appended. The call is a user
+  /// query: kFlushing stamps the term's last-query time (Phase 3's key);
+  /// LRU's recency moves through OnResultAccess instead.
   virtual size_t QueryTerm(TermId term, size_t limit,
-                           std::vector<Posting>* out, bool record_access) = 0;
+                           std::vector<Posting>* out) = 0;
 
-  /// In-memory postings under `term` (the hit predicate's input).
+  /// In-memory postings under `term`.
   virtual size_t EntrySize(TermId term) const = 0;
 
   /// Notifies the policy that these microblogs were returned to a user

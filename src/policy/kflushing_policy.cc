@@ -67,15 +67,11 @@ void KFlushingPolicy::Insert(const Microblog& blog,
 }
 
 size_t KFlushingPolicy::QueryTerm(TermId term, size_t limit,
-                                  std::vector<Posting>* out,
-                                  bool record_access) {
-  if (record_access) {
-    // Stamps the entry's last-query time — Phase 3's eviction key. Racing
-    // queries both write ~NOW, so no extra synchronization is needed
-    // beyond the shard lock already taken (paper §III-C).
-    return index_.Query(term, limit, Now(), out);
-  }
-  return index_.Peek(term, limit, out);
+                                  std::vector<Posting>* out) {
+  // Stamps the entry's last-query time — Phase 3's eviction key. Racing
+  // queries both write ~NOW, so no extra synchronization is needed beyond
+  // the shard lock already taken (paper §III-C).
+  return index_.Query(term, limit, Now(), out);
 }
 
 size_t KFlushingPolicy::EntrySize(TermId term) const {

@@ -62,9 +62,8 @@ void LruPolicy::Insert(const Microblog& blog, const std::vector<TermId>& terms,
 }
 
 size_t LruPolicy::QueryTerm(TermId term, size_t limit,
-                            std::vector<Posting>* out,
-                            bool record_access) {
-  (void)record_access;  // LRU recency updates happen via OnResultAccess.
+                            std::vector<Posting>* out) {
+  // LRU recency updates happen via OnResultAccess.
   return index_.Query(term, limit, Now(), out);
 }
 

@@ -13,6 +13,8 @@
 
 #include "core/sharded_system.h"
 #include "gtest/gtest.h"
+#include "index/posting_list.h"
+#include "storage/raw_store.h"
 #include "testing/test_util.h"
 #include "util/clock.h"
 
@@ -237,6 +239,47 @@ TEST(ShardedStore, FanoutQueriesMatchSingleShardReference) {
           RecordsEqual(r1.value().results[i], rn.value().results[i]))
           << "query term0=" << query.terms[0] << " position " << i;
     }
+  }
+}
+
+TEST(ShardedStore, MultiOwnerOrMaterializesOnlyItsAnswer) {
+  // Two shards, LRU, k = 2. Term A (owned by shard 0) holds four records
+  // whose top 2 are its first two inserts; term B (owned by shard 1)
+  // holds two newer records, so OR(A, B) is B's two. Only the answer is
+  // materialized: it counts two records, and A's records are not
+  // touched as if a user had been shown them.
+  ShardedStoreOptions options = SmallShardedOptions(2, PolicyKind::kLru);
+  options.store.k = 2;
+  ShardedMicroblogStore store(options);
+  KeywordId a = 0;
+  KeywordId b = 0;
+  while (store.router().ShardForTerm(a) != 0) ++a;
+  while (store.router().ShardForTerm(b) != 1) ++b;
+  // Temporal scores: A's records rank 1 > 2 > 3 > 4, B's 6 > 5 above all.
+  const Timestamp created_at[] = {40, 39, 20, 19, 50, 60};
+  std::vector<Microblog> blogs;
+  for (MicroblogId id = 1; id <= 6; ++id) {
+    blogs.push_back(MakeBlog(id, created_at[id - 1], {id <= 4 ? a : b}));
+    ASSERT_TRUE(store.Insert(blogs.back()).ok());
+  }
+
+  auto r = store.engine()->Execute({{a, b}, QueryType::kOr, 2});
+  ASSERT_TRUE(r.ok());
+  std::vector<MicroblogId> ids;
+  for (const Microblog& blog : r->results) ids.push_back(blog.id);
+  EXPECT_EQ(ids, (std::vector<MicroblogId>{6, 5}));
+  EXPECT_EQ(r->from_memory + r->from_disk, 2u);
+
+  // Nothing touched A's records, so a flush of two records' worth on
+  // shard 0 evicts its two coldest: the first two inserts.
+  MicroblogStore* owner_a = store.shard(0);
+  owner_a->policy()->Flush(2 * (RawDataStore::RecordBytes(blogs[0]) +
+                                PostingList::kBytesPerPosting));
+  for (MicroblogId id : {1, 2}) {
+    EXPECT_FALSE(owner_a->raw_store()->Contains(id)) << "record " << id;
+  }
+  for (MicroblogId id : {3, 4}) {
+    EXPECT_TRUE(owner_a->raw_store()->Contains(id)) << "record " << id;
   }
 }
 

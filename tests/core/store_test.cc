@@ -133,7 +133,7 @@ TEST(MicroblogStoreTest, PopularityRankingOrdersByScore) {
   ASSERT_TRUE(store.Insert(celebrity).ok());
   ASSERT_TRUE(store.Insert(nobody).ok());
   std::vector<Posting> postings;
-  store.policy()->QueryTerm(7, 2, &postings, false);
+  store.policy()->QueryTerm(7, 2, &postings);
   EXPECT_EQ(testing_util::IdsOf(postings),
             (std::vector<MicroblogId>{1, 2}));  // celebrity first
 }

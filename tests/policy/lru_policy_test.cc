@@ -106,7 +106,7 @@ TEST(LruPolicyTest, ConcurrentAccessAndInsertKeepsListConsistent) {
     std::vector<Posting> out;
     for (int round = 0; round < 200; ++round) {
       out.clear();
-      policy->QueryTerm(round % 10, kK, &out, true);
+      policy->QueryTerm(round % 10, kK, &out);
       policy->OnResultAccess(testing_util::IdsOf(out));
     }
   });

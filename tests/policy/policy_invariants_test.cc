@@ -82,7 +82,7 @@ TEST_P(PolicyInvariantsTest, MemoryUnionDiskCoversEveryPosting) {
   RunWorkload(policy.get(), &h, 10);
   for (const auto& [term, ids] : truth_) {
     std::vector<Posting> mem;
-    policy->QueryTerm(term, ~size_t{0}, &mem, false);
+    policy->QueryTerm(term, ~size_t{0}, &mem);
     std::vector<Posting> disk;
     ASSERT_TRUE(h.disk().QueryTerm(term, ~size_t{0}, &disk).ok());
     std::set<MicroblogId> covered;
@@ -130,7 +130,7 @@ TEST_P(PolicyInvariantsTest, QueryNeverReturnsFlushedIds) {
   RunWorkload(policy.get(), &h, 10);
   for (TermId term = 0; term < 30; ++term) {
     std::vector<Posting> postings;
-    policy->QueryTerm(term, ~size_t{0}, &postings, false);
+    policy->QueryTerm(term, ~size_t{0}, &postings);
     for (MicroblogId id : testing_util::IdsOf(postings)) {
       EXPECT_TRUE(h.raw().Contains(id))
           << "policy " << policy->name() << " term " << term
@@ -145,7 +145,7 @@ TEST_P(PolicyInvariantsTest, QueryResultsAreRankDescending) {
   RunWorkload(policy.get(), &h, 6);
   for (TermId term = 0; term < 30; ++term) {
     std::vector<Posting> postings;
-    policy->QueryTerm(term, ~size_t{0}, &postings, false);
+    policy->QueryTerm(term, ~size_t{0}, &postings);
     Timestamp prev = ~Timestamp{0};
     for (const Posting& p : postings) {
       auto blog = h.raw().Get(p.id);
@@ -170,7 +170,7 @@ TEST_P(PolicyInvariantsTest, RepeatedFullDrainIsStable) {
   // System still works after total drain.
   h.Ingest(policy.get(), 999999, {1});
   std::vector<Posting> postings;
-  policy->QueryTerm(1, kK, &postings, false);
+  policy->QueryTerm(1, kK, &postings);
   EXPECT_FALSE(postings.empty());
 }
 

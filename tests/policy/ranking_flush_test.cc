@@ -40,7 +40,7 @@ TEST(RankingFlushTest, Phase1TrimsLowestScoredNotOldest) {
   store.FlushOnce();  // Phase 1 trims the entry to k = 3
 
   std::vector<Posting> postings;
-  store.policy()->QueryTerm(7, kK, &postings, false);
+  store.policy()->QueryTerm(7, kK, &postings);
   const std::vector<MicroblogId> ids = testing_util::IdsOf(postings);
   ASSERT_EQ(ids.size(), kK);
   // The old celebrity post outranks the newer nobodies and must survive;
@@ -100,7 +100,7 @@ TEST(RankingFlushTest, FifoSegmentsMergeCorrectlyUnderPopularity) {
     ASSERT_TRUE(store.Insert(blog).ok());
   }
   std::vector<Posting> postings;
-  store.policy()->QueryTerm(7, 5, &postings, false);
+  store.policy()->QueryTerm(7, 5, &postings);
   const std::vector<MicroblogId> ids = testing_util::IdsOf(postings);
   ASSERT_EQ(ids.size(), 5u);
   // All five best-ranked are famous (multiples of 10), newest first.

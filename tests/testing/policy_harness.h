@@ -60,7 +60,7 @@ class PolicyHarness {
                                  size_t limit) {
     clock_.Advance(1);
     std::vector<Posting> postings;
-    policy->QueryTerm(term, limit, &postings, /*record_access=*/true);
+    policy->QueryTerm(term, limit, &postings);
     return IdsOf(postings);
   }
 

@@ -49,8 +49,12 @@
 #                   KFLUSH_BENCH_OUT=D scripts/check.sh figures
 #                   cp D/figures/*.txt bench/golden/
 #   bench-smoke - tiny-scale bench_snapshot run; validates the BENCH_*.json
-#                 metrics artifact schema with scripts/validate_bench_json.py,
-#                 then a traced bench_fig5_memory_behavior run validated with
+#                 metrics artifact schema with scripts/validate_bench_json.py
+#                 (including the flush-cycle identity: every
+#                 flush.stage_micros.{select,index,drop,drain} count equals
+#                 flush.cycles and the four sums add up to the
+#                 flush.cycle_micros sum), then a traced
+#                 bench_fig5_memory_behavior run validated with
 #                 scripts/validate_trace_json.py. Artifacts land in
 #                 KFLUSH_BENCH_OUT (default: a temp dir) so CI can upload them.
 #   net-smoke   - the network front-end over real loopback TCP

@@ -13,7 +13,10 @@ where each <snapshot> is a MetricsSnapshot::ToJson() object holding
 "counters"/"gauges"/"histograms" maps, with the per-phase flush counters
 (flush.phaseN.*) and per-query-type latency histograms
 (query.latency_micros.<type>.<hit|miss>) present, and every histogram
-carrying count/min/max/mean/sum and p50/p90/p95/p99/p999 fields. The durable
+carrying count/min/max/mean/sum and p50/p90/p95/p99/p999 fields. The four
+flush.stage_micros.<stage> histograms are required too, and once
+flush.cycles > 0 each must count one sample per cycle and their sums must
+add up to flush.cycle_micros's sum (the stages partition every cycle). The durable
 tier's disk.* recovery counters and flush_buffer.requeues are required
 unconditionally (zero on non-durable runs); the wal.* series are
 validated as an all-or-nothing family when any of them appears, with
@@ -65,6 +68,7 @@ REQUIRED_COUNTERS = ("ingest.inserted", "flush.cycles",
 REQUIRED_GAUGES = ("memory.budget_bytes", "memory.data_used_bytes",
                    "store.resident_records")
 QUERY_TYPES = ("single", "and", "or")
+FLUSH_STAGES = ("select", "index", "drop", "drain")
 OUTCOMES = ("hit", "miss")
 
 # Durable-tier series (docs/INTERNALS.md, "Durability"). Exported only
@@ -143,8 +147,33 @@ def check_snapshot(errors, where, snap):
 
     if "flush.cycle_micros" not in histograms:
         errors.append(f"{where}: missing histogram 'flush.cycle_micros'")
+    else:
+        check_flush_stages(errors, where, counters, histograms)
 
     check_wal_family(errors, where, counters, histograms)
+
+
+def check_flush_stages(errors, where, counters, histograms):
+    """The flush.stage_micros.* histograms partition each cycle's time."""
+    stages = {}
+    for stage in FLUSH_STAGES:
+        name = f"flush.stage_micros.{stage}"
+        if not isinstance(histograms.get(name), dict):
+            errors.append(f"{where}: missing histogram '{name}'")
+            continue
+        stages[name] = histograms[name]
+    cycles = counters.get("flush.cycles", 0)
+    if cycles == 0 or len(stages) != len(FLUSH_STAGES):
+        return
+    for name, hist in stages.items():
+        if hist.get("count") != cycles:
+            errors.append(f"{where}: {name} count {hist.get('count')} != "
+                          f"flush.cycles {cycles}")
+    stage_sum = sum(hist.get("sum", 0) for hist in stages.values())
+    cycle_sum = histograms["flush.cycle_micros"].get("sum")
+    if stage_sum != cycle_sum:
+        errors.append(f"{where}: flush stage sums add up to {stage_sum}, "
+                      f"flush.cycle_micros sum is {cycle_sum}")
 
 
 def check_wal_family(errors, where, counters, histograms):

@@ -185,15 +185,34 @@ class CursorIntersection {
 
 /// Fetches the answer: `ranked` (distinct records, in rank order), then
 /// whatever `more` yields, until k records are found. Each record comes
-/// from the first of `owners` whose raw store, else disk, holds it; a
-/// record found nowhere is in flight between memory and disk (a
-/// concurrent flush) and the next candidate takes its place.
+/// from the first of `owners` whose raw store, else disk, else flush
+/// buffer holds it; a buffer hit counts under from_disk. An evicted
+/// record moves raw store -> buffer atomically for readers and leaves the
+/// buffer only once the disk acknowledged it, so a record a concurrent
+/// flush is moving is in the buffer, or — if its write was acknowledged
+/// after the disk probe — on the disk at a second probe. Disk-resident
+/// records never take the buffer lock.
 template <typename Source>
 Status Materialize(const std::vector<Posting>& ranked, Source* more,
                    uint32_t k, const std::vector<MicroblogStore*>& owners,
                    QueryResult* result) {
   std::vector<std::vector<MicroblogId>> memory_ids(owners.size());
   Posting extra;
+  bool found = false;
+  auto from_disk = [&](MicroblogId id) -> Status {
+    for (size_t i = 0; i < owners.size() && !found; ++i) {
+      Microblog blog;
+      Status s = owners[i]->disk()->GetRecord(id, &blog);
+      if (s.ok()) {
+        result->results.push_back(std::move(blog));
+        ++result->from_disk;
+        found = true;
+      } else if (!s.IsNotFound()) {
+        return s;
+      }
+    }
+    return Status::OK();
+  };
   for (size_t next = 0; result->results.size() < k; ++next) {
     const Posting* c = &extra;
     if (next < ranked.size()) {
@@ -204,7 +223,7 @@ Status Materialize(const std::vector<Posting>& ranked, Source* more,
     // A record carries every term it was routed under, so its copy lives
     // on each owner that indexed it: resident there, or on that owner's
     // disk once fully evicted from it.
-    bool found = false;
+    found = false;
     for (size_t i = 0; i < owners.size() && !found; ++i) {
       auto blog = owners[i]->raw_store()->Get(c->id);
       if (blog.has_value()) {
@@ -214,17 +233,16 @@ Status Materialize(const std::vector<Posting>& ranked, Source* more,
         found = true;
       }
     }
+    if (!found) KFLUSH_RETURN_IF_ERROR(from_disk(c->id));
     for (size_t i = 0; i < owners.size() && !found; ++i) {
-      Microblog from_disk;
-      Status s = owners[i]->disk()->GetRecord(c->id, &from_disk);
-      if (s.ok()) {
-        result->results.push_back(std::move(from_disk));
+      Microblog flushed;
+      if (owners[i]->flush_buffer().Get(c->id, &flushed)) {
+        result->results.push_back(std::move(flushed));
         ++result->from_disk;
         found = true;
-      } else if (!s.IsNotFound()) {
-        return s;
       }
     }
+    if (!found) KFLUSH_RETURN_IF_ERROR(from_disk(c->id));
   }
   for (size_t i = 0; i < owners.size(); ++i) {
     owners[i]->policy()->OnResultAccess(memory_ids[i]);

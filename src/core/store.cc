@@ -130,7 +130,8 @@ Status MicroblogStore::RecoverDurable() {
           }
         }
         for (TermId term : disk_terms) {
-          KFLUSH_RETURN_IF_ERROR(disk_->AddPosting(term, blog.id, score));
+          KFLUSH_RETURN_IF_ERROR(
+              disk_->AddPostings(term, {Posting{blog.id, score}}));
         }
         if (memory_terms.empty()) {
           ++recovery_stats_.records_recovered_to_disk;
@@ -149,7 +150,7 @@ Status MicroblogStore::RecoverDurable() {
   recovery_stats_.wal_records_recovered = replay.records_recovered;
   recovery_stats_.wal_torn_bytes_truncated = replay.torn_bytes_truncated;
   if (!to_disk.empty()) {
-    KFLUSH_RETURN_IF_ERROR(disk_->WriteBatch(std::move(to_disk)));
+    KFLUSH_RETURN_IF_ERROR(disk_->WriteBatch(to_disk));
   }
   if (replay.records_recovered > 0 || replay.torn_bytes_truncated > 0) {
     // Compaction drops entries made redundant by sealed segments (and the
@@ -211,6 +212,11 @@ void MicroblogStore::ExportComponentMetrics(MetricsSnapshot* snap) const {
   snap->counters["flush.postings_dropped"] = ps.postings_dropped;
   snap->histograms["flush.cycle_micros"] = ps.cycle_micros;
   snap->histograms["flush.cycle_cpu_micros"] = ps.cycle_cpu_micros;
+  for (int i = 0; i < kNumFlushStages; ++i) {
+    snap->histograms[std::string("flush.stage_micros.") +
+                     FlushStageName(static_cast<FlushStage>(i))] =
+        ps.stage_micros[i];
+  }
   for (int i = 0; i < 3; ++i) {
     const PhaseStats& phase = ps.phases[i];
     const std::string prefix = "flush.phase" + std::to_string(i + 1) + ".";

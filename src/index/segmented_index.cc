@@ -42,31 +42,14 @@ void SegmentedIndex::SealActiveSegment() {
   segments_.push_front(std::make_unique<InvertedIndex>(tracker_));
 }
 
-size_t SegmentedIndex::FlushOldestSegment(
-    const std::function<void(TermId, const Posting&)>& on_removed) {
-  std::unique_ptr<InvertedIndex> oldest;
-  {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    oldest = std::move(segments_.back());
-    segments_.pop_back();
-    if (segments_.empty()) {
-      segments_.push_front(std::make_unique<InvertedIndex>(tracker_));
-    }
+std::unique_ptr<InvertedIndex> SegmentedIndex::PopOldestSegment() {
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  std::unique_ptr<InvertedIndex> oldest = std::move(segments_.back());
+  segments_.pop_back();
+  if (segments_.empty()) {
+    segments_.push_front(std::make_unique<InvertedIndex>(tracker_));
   }
-  const size_t freed = oldest->MemoryBytes();
-  std::vector<TermId> terms;
-  oldest->ForEachEntry(
-      [&](const EntryMeta& meta) { terms.push_back(meta.term); });
-  // Victim order must not depend on hash-map iteration: equal-score disk
-  // postings are served in registration order, so replayable runs need the
-  // segment's entries dropped in a stable (term id) order.
-  std::sort(terms.begin(), terms.end());
-  for (TermId term : terms) {
-    oldest->RemoveMatching(
-        term, /*k=*/0, /*should_remove=*/nullptr,
-        [&](const Posting& p, bool) { on_removed(term, p); });
-  }
-  return freed;
+  return oldest;
 }
 
 size_t SegmentedIndex::NumSegments() const {

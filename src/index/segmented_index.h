@@ -46,13 +46,11 @@ class SegmentedIndex {
   /// policy) decides the sealing cadence from its byte accounting.
   void SealActiveSegment();
 
-  /// Drops the oldest segment. Every posting it held is reported through
-  /// `on_removed` (term + posting). Returns the index-side bytes freed, or
-  /// 0 if only the active segment remains (it is never flushed while
-  /// another exists; if it is the only segment it IS flushed, and a fresh
-  /// active segment replaces it).
-  size_t FlushOldestSegment(
-      const std::function<void(TermId, const Posting&)>& on_removed);
+  /// Detaches and returns the oldest segment; queries no longer see it.
+  /// When it is the only segment, a fresh active segment replaces it. The
+  /// caller empties it (its entries still charge the tracker until
+  /// removed or destroyed).
+  std::unique_ptr<InvertedIndex> PopOldestSegment();
 
   size_t NumSegments() const;
 

@@ -1,5 +1,7 @@
 #include "policy/fifo_policy.h"
 
+#include <algorithm>
+
 namespace kflush {
 
 FifoPolicy::FifoPolicy(const PolicyContext& ctx, uint32_t k,
@@ -42,6 +44,8 @@ size_t FifoPolicy::FlushImpl(size_t bytes_needed) {
   Stopwatch watch;
   size_t freed = 0;
   size_t segments_flushed = 0;
+  std::vector<TermId> terms;
+  std::vector<Posting> run;
   // Drop whole oldest segments until the budget is met. Flushing the only
   // (active) segment empties memory entirely; stop there regardless.
   while (freed < bytes_needed) {
@@ -50,17 +54,31 @@ size_t FifoPolicy::FlushImpl(size_t bytes_needed) {
     // per-entry decision to record; the whole oldest segment goes).
     BeginVictim(/*phase=*/1, kInvalidTermId);
     const size_t freed_before = freed;
-    const size_t index_freed =
-        index_.FlushOldestSegment([&](TermId term, const Posting& posting) {
-          // The segment's MemoryBytes() below already covers every posting
-          // and entry, so only the record-side bytes of the drop may be
-          // added here — adding OnPostingDropped's posting bytes too would
-          // overstate `freed` and let the cycle stop short of the B budget
-          // (memory-accounting drift vs. the tracker's actual delta).
-          freed += OnPostingDropped(term, posting) -
-                   PostingList::kBytesPerPosting;
-        });
-    freed += index_freed;
+    std::unique_ptr<InvertedIndex> segment = index_.PopOldestSegment();
+    // The segment's MemoryBytes() covers every posting and entry, so only
+    // the record-side bytes of each drop are added below — adding the
+    // run's posting bytes too would overstate `freed` and let the cycle
+    // stop short of the B budget (memory-accounting drift vs. the
+    // tracker's actual delta).
+    freed += segment->MemoryBytes();
+    terms.clear();
+    segment->ForEachEntry(
+        [&](const EntryMeta& meta) { terms.push_back(meta.term); });
+    // Victim order must not depend on hash-map iteration: equal-score disk
+    // postings are served in registration order, so replayable runs need
+    // the segment's entries dropped in a stable (term id) order.
+    std::sort(terms.begin(), terms.end());
+    ChargeStage(FlushStage::kSelect);
+    for (TermId term : terms) {
+      run.clear();
+      segment->RemoveMatching(
+          term, /*k=*/0, /*should_remove=*/nullptr,
+          [&](const Posting& p, bool) { run.push_back(p); });
+      ChargeStage(FlushStage::kIndex);
+      freed += DropPostings(term, run) -
+               run.size() * PostingList::kBytesPerPosting;
+      ChargeStage(FlushStage::kDrop);
+    }
     EndVictim(freed - freed_before);
     ++segments_flushed;
     if (segments_before <= 1) break;  // flushed the last segment

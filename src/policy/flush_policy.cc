@@ -1,5 +1,7 @@
 #include "policy/flush_policy.h"
 
+#include <algorithm>
+#include <iterator>
 #include <sstream>
 
 #include "sub/subscription_sink.h"
@@ -17,6 +19,20 @@ const char* PolicyKindName(PolicyKind kind) {
       return "kFlushing";
     case PolicyKind::kKFlushingMK:
       return "kFlushing-MK";
+  }
+  return "unknown";
+}
+
+const char* FlushStageName(FlushStage stage) {
+  switch (stage) {
+    case FlushStage::kSelect:
+      return "select";
+    case FlushStage::kIndex:
+      return "index";
+    case FlushStage::kDrop:
+      return "drop";
+    case FlushStage::kDrain:
+      return "drain";
   }
   return "unknown";
 }
@@ -63,6 +79,9 @@ void MergePolicyStats(const PolicyStats& in, PolicyStats* out) {
   }
   out->cycle_micros.Merge(in.cycle_micros);
   out->cycle_cpu_micros.Merge(in.cycle_cpu_micros);
+  for (int i = 0; i < kNumFlushStages; ++i) {
+    out->stage_micros[i].Merge(in.stage_micros[i]);
+  }
 }
 
 FlushPolicy::FlushPolicy(const PolicyContext& ctx, uint32_t k)
@@ -82,24 +101,38 @@ size_t FlushPolicy::Flush(size_t bytes_needed) {
                  {TraceArg::Str("policy", name()),
                   TraceArg::Uint("bytes_needed", bytes_needed),
                   TraceArg::Int("shard", ctx_.shard_id)});
-  Stopwatch watch;
+  const Timestamp start = MonotonicMicros();
+  stage_last_ = start;
+  std::fill(std::begin(cycle_stage_micros_), std::end(cycle_stage_micros_),
+            0);
   CpuStopwatch cpu_watch;
   current_phase_ = 1;
   const size_t freed = FlushImpl(bytes_needed);
+  ChargeStage(FlushStage::kSelect);  // bookkeeping after the last victim
   // One batched write per cycle (paper §III-A: victims are buffered to
   // reduce I/O operations).
   Status s = ctx_.flush_buffer->DrainTo(ctx_.disk_store);
+  ChargeStage(FlushStage::kDrain);
   if (!s.ok()) {
     KFLUSH_ERROR("flush drain failed: " << s.ToString());
   }
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.flush_cycles;
-    stats_.cycle_micros.Record(watch.ElapsedMicros());
+    stats_.cycle_micros.Record(stage_last_ - start);
     stats_.cycle_cpu_micros.Record(cpu_watch.ElapsedMicros());
+    for (int i = 0; i < kNumFlushStages; ++i) {
+      stats_.stage_micros[i].Record(cycle_stage_micros_[i]);
+    }
   }
   span.End({TraceArg::Uint("bytes_freed", freed)});
   return freed;
+}
+
+void FlushPolicy::ChargeStage(FlushStage stage) {
+  const Timestamp now = MonotonicMicros();
+  cycle_stage_micros_[static_cast<int>(stage)] += now - stage_last_;
+  stage_last_ = now;
 }
 
 void FlushPolicy::BeginVictim(int phase, TermId term, int64_t heap_rank,
@@ -132,47 +165,49 @@ void FlushPolicy::EndVictim(uint64_t bytes_freed, uint64_t entries_evicted) {
       TraceArg::Uint("bytes_freed", victim_.bytes_freed));
 }
 
-size_t FlushPolicy::OnPostingDropped(TermId term, const Posting& posting) {
-  Status s = ctx_.disk_store->AddPosting(term, posting.id, posting.score);
+size_t FlushPolicy::DropPostings(TermId term,
+                                 const std::vector<Posting>& run) {
+  if (run.empty()) return 0;
+  Status s = ctx_.disk_store->AddPostings(term, run);
   if (!s.ok()) {
-    KFLUSH_ERROR("disk AddPosting failed: " << s.ToString());
+    KFLUSH_ERROR("disk AddPostings failed: " << s.ToString());
   }
-  size_t freed = PostingList::kBytesPerPosting;
-  const uint32_t remaining = ctx_.raw_store->DecrementPcount(posting.id);
-  PhaseStats& phase = stats_.phases[current_phase_ - 1];
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.postings_dropped;
-    ++phase.postings;
-  }
-  if (victim_open_) ++victim_.postings_dropped;
-  if (remaining == 0) {
-    auto record = ctx_.raw_store->Remove(posting.id);
-    if (record.has_value()) {
-      const size_t record_bytes = RawDataStore::RecordBytes(*record);
-      freed += record_bytes;
-      ctx_.flush_buffer->Add(std::move(*record));
-      if (victim_open_) {
-        ++victim_.records_flushed;
-        victim_.record_bytes += record_bytes;
-      }
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.records_flushed;
-        stats_.record_bytes_flushed += record_bytes;
-        ++phase.records;
-        phase.record_bytes += record_bytes;
-      }
-      // The record just left the memory tier. Tell the continuous-query
-      // layer so standing results holding it schedule a disk-backed
-      // refill; the sink only queues work, it never re-enters the policy.
-      if (SubscriptionSink* sink =
-              sub_sink_.load(std::memory_order_acquire)) {
-        sink->OnRecordEvicted(posting.id);
+  evicted_.clear();
+  size_t record_bytes = 0;
+  ctx_.flush_buffer->Append([&](RecordBatch* batch) {
+    for (const Posting& posting : run) {
+      const size_t bytes = ctx_.raw_store->Release(posting.id, batch);
+      if (bytes > 0) {
+        evicted_.push_back(posting.id);
+        record_bytes += bytes;
       }
     }
+  });
+  const uint64_t postings = run.size();
+  const uint64_t records = evicted_.size();
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    PhaseStats& phase = stats_.phases[current_phase_ - 1];
+    stats_.postings_dropped += postings;
+    phase.postings += postings;
+    stats_.records_flushed += records;
+    stats_.record_bytes_flushed += record_bytes;
+    phase.records += records;
+    phase.record_bytes += record_bytes;
   }
-  return freed;
+  if (victim_open_) {
+    victim_.postings_dropped += postings;
+    victim_.records_flushed += records;
+    victim_.record_bytes += record_bytes;
+  }
+  // These records just left the memory tier. Tell the continuous-query
+  // layer (outside the buffer lock) so standing results holding them
+  // schedule a disk-backed refill; the sink only queues work, it never
+  // re-enters the policy.
+  if (SubscriptionSink* sink = sub_sink_.load(std::memory_order_acquire)) {
+    for (MicroblogId id : evicted_) sink->OnRecordEvicted(id);
+  }
+  return postings * PostingList::kBytesPerPosting + record_bytes;
 }
 
 Status ReconcileAuditWithStats(const std::vector<EvictionAuditRecord>& records,

@@ -80,6 +80,20 @@ struct PhaseStats {
   uint64_t micros = 0;              // wall time spent in the phase body
 };
 
+/// The stages one flush cycle's wall time is split into
+/// (flush.stage_micros.<name>, docs/INTERNALS.md):
+///   select — choosing victims: L's swap and sort, index snapshots,
+///            candidate builds, SelectVictims, MK keep-sets, FIFO's segment
+///            pop, LRU's PopColdest, and the policy's own bookkeeping;
+///   index  — unlinking victims from the in-memory index (TrimBeyondK,
+///            RemoveMatching, RemoveId);
+///   drop   — DropPostings: disk postings, raw-store releases, buffer
+///            appends;
+///   drain  — the flush buffer's DrainTo.
+enum class FlushStage : int { kSelect = 0, kIndex, kDrop, kDrain };
+constexpr int kNumFlushStages = 4;
+const char* FlushStageName(FlushStage stage);
+
 /// Cumulative policy statistics.
 struct PolicyStats {
   uint64_t flush_cycles = 0;
@@ -95,6 +109,10 @@ struct PolicyStats {
   /// ticking while the flusher is descheduled); the shard-scaling bench's
   /// work-span series reads this one.
   Histogram cycle_cpu_micros;
+  /// Wall time per flush cycle and stage (indexed by FlushStage), one
+  /// sample per cycle (0 for a stage that did not run). The stages
+  /// partition the cycle: per cycle they sum to its cycle_micros sample.
+  Histogram stage_micros[kNumFlushStages];
 
   std::string ToString() const;
 };
@@ -187,7 +205,7 @@ class FlushPolicy {
   ///
   /// A policy brackets each victim — a trimmed entry (kFlushing Phase 1),
   /// an evicted entry (Phases 2/3), a flushed segment (FIFO), an unlinked
-  /// record (LRU) — with BeginVictim/EndVictim. OnPostingDropped calls in
+  /// record (LRU) — with BeginVictim/EndVictim. DropPostings calls in
   /// between accumulate postings/records/record bytes into the open scope;
   /// EndVictim takes the victim's exact bytes-freed delta (the same number
   /// the policy adds to its phase total, so per-phase audit sums reconcile
@@ -199,12 +217,20 @@ class FlushPolicy {
                    MicroblogId record_id = kInvalidMicroblogId);
   void EndVictim(uint64_t bytes_freed, uint64_t entries_evicted = 0);
 
-  /// Standard handling for a posting leaving the in-memory index: register
-  /// the association on disk, decrement the record's reference count, and
-  /// when it reaches zero move the record to the flush buffer. Returns the
-  /// data bytes freed by this drop (posting bytes, plus record bytes when
-  /// the record left memory).
-  size_t OnPostingDropped(TermId term, const Posting& posting);
+  /// Standard handling for a run of postings leaving `term`'s in-memory
+  /// entry; call it after the index operation that removed them, never
+  /// under an index lock. Registers the run on disk in one call, releases
+  /// one raw-store reference per posting, and appends every record whose
+  /// last reference that was to the flush buffer, still encoded — all
+  /// under the buffer lock, so a reader never misses a record between the
+  /// two tiers. Returns the data bytes freed (posting bytes, plus record
+  /// bytes of the records that left memory).
+  size_t DropPostings(TermId term, const std::vector<Posting>& run);
+
+  /// Charges the wall time since the previous stage boundary of this
+  /// cycle to `stage` (flush thread only). Every interval between two
+  /// clock reads of a cycle goes to exactly one stage.
+  void ChargeStage(FlushStage stage);
 
   Timestamp Now() const { return ctx_.clock->NowMicros(); }
 
@@ -212,7 +238,7 @@ class FlushPolicy {
   std::atomic<uint32_t> k_;
   mutable std::mutex stats_mu_;
   PolicyStats stats_;
-  /// Phase OnPostingDropped attributes its work to (1..3). Flush resets it
+  /// Phase DropPostings attributes its work to (1..3). Flush resets it
   /// to 1 before FlushImpl, so single-phase policies need not touch it;
   /// kFlushing sets it around each phase body. Only the single flushing
   /// thread reads or writes it, so a plain int is race-free by contract.
@@ -225,6 +251,14 @@ class FlushPolicy {
 
   /// Continuous-query eviction hook (see set_subscription_sink).
   std::atomic<SubscriptionSink*> sub_sink_{nullptr};
+
+ private:
+  /// The running cycle's stage clock (flush thread only): the last
+  /// boundary read and the micros charged to each stage so far.
+  Timestamp stage_last_ = 0;
+  uint64_t cycle_stage_micros_[kNumFlushStages] = {};
+  /// DropPostings scratch: ids of the records the run evicted.
+  std::vector<MicroblogId> evicted_;
 };
 
 /// Cross-checks an eviction audit trail against the aggregate PhaseStats

@@ -162,6 +162,7 @@ size_t KFlushingPolicy::RunPhase1() {
     std::lock_guard<std::mutex> lock(stats_mu_);
     stats_.phases[0].candidates_scanned += ordered.size();
   }
+  ChargeStage(FlushStage::kSelect);
   size_t freed = 0;
   for (TermId term : ordered) {
     freed += TrimEntry(term, k);
@@ -186,12 +187,11 @@ size_t KFlushingPolicy::TrimEntry(TermId term, uint32_t k) {
     on_uncharge = [raw](MicroblogId id) { raw->DecrementTopK(id); };
   }
 
-  std::vector<Posting> trimmed;
-  index_.TrimBeyondK(term, k, should_trim, &trimmed, on_charge, on_uncharge);
-  size_t freed = 0;
-  for (const Posting& p : trimmed) {
-    freed += OnPostingDropped(term, p);
-  }
+  removed_.clear();
+  index_.TrimBeyondK(term, k, should_trim, &removed_, on_charge, on_uncharge);
+  ChargeStage(FlushStage::kIndex);
+  const size_t freed = DropPostings(term, removed_);
+  ChargeStage(FlushStage::kDrop);
   if (options_.mk_extension && index_.EntrySize(term) > k) {
     // Kept postings leave the entry over-k; re-track it so a later Phase 1
     // retires them once they drop out of every top-k.
@@ -300,28 +300,33 @@ size_t KFlushingPolicy::EvictEntry(TermId term, int phase, int64_t heap_rank,
     if (!keep->empty()) {
       should_remove = [keep](MicroblogId id) { return keep->count(id) == 0; };
     }
+    ChargeStage(FlushStage::kSelect);
   }
 
-  size_t freed = 0;
   const bool mk = options_.mk_extension;
   RawDataStore* raw = ctx_.raw_store;
   // All callbacks run under the entry's shard lock, keeping the refcounts
   // transactional with the structural change: a removed charged posting
   // gives its count back, and kept postings sliding into the vacated top-k
   // region gain one (without that, a later eviction's uncharge would steal
-  // a count belonging to another entry).
+  // a count belonging to another entry). The removed postings are dropped
+  // as one run after the lock is released.
   TopKChargeFn on_charge, on_uncharge;
   if (mk) {
     on_charge = [raw](MicroblogId id) { raw->IncrementTopK(id); };
     on_uncharge = [raw](MicroblogId id) { raw->DecrementTopK(id); };
   }
+  removed_.clear();
   index_.RemoveMatching(
       term, k, should_remove,
       [&](const Posting& p, bool was_charged) {
         if (mk && was_charged) raw->DecrementTopK(p.id);
-        freed += OnPostingDropped(term, p);
+        removed_.push_back(p);
       },
       on_charge, on_uncharge);
+  ChargeStage(FlushStage::kIndex);
+  size_t freed = DropPostings(term, removed_);
+  ChargeStage(FlushStage::kDrop);
   const bool entry_gone = index_.EntrySize(term) == 0;
   if (entry_gone) {
     freed += InvertedIndex::kBytesPerEntry;
@@ -362,6 +367,7 @@ size_t KFlushingPolicy::RunPhase2(size_t bytes_needed) {
       stats_.phases[1].candidates_scanned += scanned;
       stats_.phases[1].heap_selected += victims.size();
     }
+    ChargeStage(FlushStage::kSelect);
     if (victims.empty()) break;
     const size_t freed_before = freed;
     for (size_t rank = 0; rank < victims.size(); ++rank) {
@@ -404,6 +410,7 @@ size_t KFlushingPolicy::RunPhase3(size_t bytes_needed) {
       stats_.phases[2].candidates_scanned += scanned;
       stats_.phases[2].heap_selected += victims.size();
     }
+    ChargeStage(FlushStage::kSelect);
     if (victims.empty()) break;
     const size_t freed_before = freed;
     for (size_t rank = 0; rank < victims.size(); ++rank) {

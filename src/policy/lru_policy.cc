@@ -83,25 +83,31 @@ size_t LruPolicy::FlushImpl(size_t bytes_needed) {
   size_t victims_examined = 0;
   size_t entries_erased = 0;
   std::vector<TermId> terms;
+  std::vector<Posting> run(1);  // one posting per (term, victim)
   while (freed < bytes_needed) {
     const MicroblogId victim = PopColdest();
     if (victim == kInvalidMicroblogId) break;  // memory is empty
     ++victims_examined;
     // Recover the victim's terms and unlink it from every index entry.
-    auto blog = ctx_.raw_store->Get(victim);
-    if (!blog.has_value()) continue;  // already gone (defensive)
+    const bool resident =
+        ctx_.raw_store->With(victim, [&](const Microblog& blog) {
+          ctx_.extractor->ExtractTerms(blog, &terms);
+        });
+    if (!resident) continue;  // already gone (defensive)
     // Audit granularity: one victim per evicted record (LRU's decision
     // unit), identified by record id rather than term.
     BeginVictim(/*phase=*/1, kInvalidTermId, /*heap_rank=*/-1,
                 /*order_key=*/0, victim);
     const size_t freed_before = freed;
     size_t record_entries_erased = 0;
-    terms.clear();
-    ctx_.extractor->ExtractTerms(*blog, &terms);
+    ChargeStage(FlushStage::kSelect);
     for (TermId term : terms) {
-      Posting removed;
-      if (index_.RemoveId(term, victim, /*k=*/0, &removed, nullptr)) {
-        freed += OnPostingDropped(term, removed);
+      const bool unlinked =
+          index_.RemoveId(term, victim, /*k=*/0, &run[0], nullptr);
+      ChargeStage(FlushStage::kIndex);
+      if (unlinked) {
+        freed += DropPostings(term, run);
+        ChargeStage(FlushStage::kDrop);
         // Entry erased when it became empty.
         if (index_.EntrySize(term) == 0) {
           freed += InvertedIndex::kBytesPerEntry;

@@ -1,11 +1,11 @@
-// Disk-side storage. When the flushing policy drops an id's association
-// from a memory index entry, the association is registered with the disk
-// store immediately (AddPosting); the record payload itself is written when
-// its last in-memory reference disappears (WriteBatch, fed by the
-// FlushBuffer). Memory ∪ disk therefore always covers the complete answer
-// of any query — the property the paper's hit-ratio metric presumes
-// ("flushed data is moved to disk, and hence the answers are always
-// accurate", §VI).
+// Disk-side storage. When the flushing policy drops a run of postings from
+// a memory index entry, the associations are registered with the disk
+// store immediately (AddPostings); the record payload itself is written,
+// still encoded, once its last in-memory reference disappears (WriteBatch,
+// fed by the FlushBuffer, which holds it readable until then). Memory ∪
+// flush buffer ∪ disk therefore always covers the complete answer of any
+// query — the property the paper's hit-ratio metric presumes ("flushed
+// data is moved to disk, and hence the answers are always accurate", §VI).
 //
 // Two implementations ship: SimDiskStore (an accounting disk for fast
 // experiments) and SegmentDiskStore (checksummed segment files, the
@@ -21,6 +21,7 @@
 
 #include "index/posting_list.h"
 #include "model/microblog.h"
+#include "storage/record_batch.h"
 #include "util/status.h"
 
 namespace kflush {
@@ -29,19 +30,34 @@ namespace kflush {
 /// RanksBefore order (the reverse of memory's) and read back-to-front at
 /// query time, so the descending read yields (score desc, id desc) — the
 /// order of the in-memory lists and of every answer, and a top-k
-/// truncation at either tier picks identical winners. Flushing registers
-/// postings in roughly score order (temporal ranking scores grow with
-/// arrival time), so the common case is an O(1) push_back. Returns false
-/// on a duplicate (term, id) registration, which is skipped.
-inline bool DiskPostingInsertAscending(std::vector<Posting>* list,
-                                       MicroblogId id, double score) {
-  const Posting posting{id, score};
-  auto slot = std::lower_bound(
-      list->begin(), list->end(), posting,
-      [](const Posting& a, const Posting& b) { return RanksBefore(b, a); });
-  if (slot != list->end() && slot->id == id) return false;
-  list->insert(slot, posting);
-  return true;
+/// truncation at either tier picks identical winners. Registers every
+/// posting of `run` (any order), skipping duplicate (term, id)
+/// registrations, and returns the count added. Runs come sorted one way
+/// or the other (a trimmed tail worst first, an evicted entry best first)
+/// and outrank the term's older disk postings, so registering them worst
+/// first makes the common insert an O(1) push_back.
+inline size_t DiskPostingsInsertAscending(std::vector<Posting>* list,
+                                          const std::vector<Posting>& run) {
+  size_t added = 0;
+  auto insert = [&](const Posting& posting) {
+    if (list->empty() || RanksBefore(posting, list->back())) {
+      list->push_back(posting);
+      ++added;
+      return;
+    }
+    auto slot = std::lower_bound(
+        list->begin(), list->end(), posting,
+        [](const Posting& a, const Posting& b) { return RanksBefore(b, a); });
+    if (slot != list->end() && slot->id == posting.id) return;
+    list->insert(slot, posting);
+    ++added;
+  };
+  if (run.size() > 1 && RanksBefore(run.front(), run.back())) {
+    for (auto it = run.rbegin(); it != run.rend(); ++it) insert(*it);
+  } else {
+    for (const Posting& posting : run) insert(posting);
+  }
+  return added;
 }
 
 /// Appends the `limit` best-ranked postings of an ascending list to `out`
@@ -84,12 +100,14 @@ class DiskStore {
  public:
   virtual ~DiskStore() = default;
 
-  /// Registers that `id` (with ranking `score`) now lives under `term` on
-  /// disk. Idempotent per (term, id).
-  virtual Status AddPosting(TermId term, MicroblogId id, double score) = 0;
+  /// Registers that each posting of `run` (a record id with its ranking
+  /// score) now lives under `term` on disk: one call per run. Idempotent
+  /// per (term, id).
+  virtual Status AddPostings(TermId term, const std::vector<Posting>& run) = 0;
 
-  /// Persists record payloads (called by the flush buffer drain).
-  virtual Status WriteBatch(std::vector<Microblog> batch) = 0;
+  /// Persists encoded record payloads (called by the flush buffer drain,
+  /// which keeps `batch` until this returns).
+  virtual Status WriteBatch(const RecordBatch& batch) = 0;
 
   /// Appends up to `limit` best-ranked disk postings for `term` to `out`.
   virtual Status QueryTerm(TermId term, size_t limit,

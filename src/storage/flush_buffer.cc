@@ -1,6 +1,7 @@
 #include "storage/flush_buffer.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "storage/wal.h"
 
@@ -14,59 +15,65 @@ FlushBuffer::~FlushBuffer() {
   }
 }
 
-void FlushBuffer::Add(Microblog blog) {
-  const size_t record_bytes = blog.FootprintBytes();
-  std::lock_guard<std::mutex> lock(mu_);
-  records_.push_back(std::move(blog));
-  bytes_ += record_bytes;
+void FlushBuffer::ChargeLocked(size_t bytes) {
+  bytes_ += bytes;
   peak_bytes_ = std::max(peak_bytes_, bytes_);
-  if (tracker_ != nullptr) {
-    tracker_->Charge(MemoryComponent::kFlushBuffer, record_bytes);
+  if (tracker_ != nullptr && bytes > 0) {
+    tracker_->Charge(MemoryComponent::kFlushBuffer, bytes);
   }
 }
 
+bool FlushBuffer::Get(MicroblogId id, Microblog* out) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const RecordBatch* batch : {&writing_, &pending_}) {
+    if (const uint8_t* blob = batch->Find(id)) {
+      DecodeRecord(blob, out);
+      return true;
+    }
+  }
+  return false;
+}
+
 Status FlushBuffer::DrainTo(DiskStore* disk) {
-  std::vector<Microblog> batch;
-  size_t drained_bytes = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (records_.empty()) return Status::OK();
-    batch.swap(records_);
-    drained_bytes = bytes_;
-    bytes_ = 0;
+    if (pending_.empty()) return Status::OK();
+    writing_ = std::exchange(pending_, RecordBatch());
   }
-  // The batch is copied, not moved: until WriteBatch acknowledges, these
-  // records exist nowhere else (their memory-index postings are already
-  // dropped), so a failed write must put them back rather than lose them.
   Status status = wal_ != nullptr ? wal_->Commit() : Status::OK();
-  if (status.ok()) status = disk->WriteBatch(batch);
+  if (status.ok()) status = disk->WriteBatch(writing_);
+  std::lock_guard<std::mutex> lock(mu_);
   if (!status.ok()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    // Re-queue ahead of anything added while the write was in flight so
-    // the retry preserves the original flush order.
-    records_.insert(records_.begin(),
-                    std::make_move_iterator(batch.begin()),
-                    std::make_move_iterator(batch.end()));
-    bytes_ += drained_bytes;
-    peak_bytes_ = std::max(peak_bytes_, bytes_);
+    // Re-queue ahead of anything appended while the write was in flight
+    // so the retry preserves the original flush order.
+    writing_.Append(pending_);
+    pending_ = std::exchange(writing_, RecordBatch());
     ++requeues_;
     return status;
   }
   // Only a durable batch releases its memory accounting.
+  bytes_ -= writing_.footprint_bytes();
   if (tracker_ != nullptr) {
-    tracker_->Release(MemoryComponent::kFlushBuffer, drained_bytes);
+    tracker_->Release(MemoryComponent::kFlushBuffer,
+                      writing_.footprint_bytes());
   }
+  writing_ = RecordBatch();
   return status;
 }
 
 size_t FlushBuffer::count() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return records_.size();
+  return pending_.size() + writing_.size();
 }
 
 size_t FlushBuffer::bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   return bytes_;
+}
+
+size_t FlushBuffer::capacity_bytes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return pending_.capacity_bytes() + writing_.capacity_bytes();
 }
 
 size_t FlushBuffer::peak_bytes() const {

@@ -1,7 +1,5 @@
 #include "storage/raw_store.h"
 
-#include <cstring>
-
 namespace kflush {
 
 namespace {
@@ -15,69 +13,6 @@ inline uint64_t MixHash(uint64_t x) {
   return x;
 }
 
-// Blob layout: fixed header, then the keyword array (4-byte aligned by
-// construction), then the raw text bytes. One allocation per record.
-struct BlobHeader {
-  MicroblogId id;
-  Timestamp created_at;
-  UserId user_id;
-  double lat;
-  double lon;
-  uint32_t follower_count;
-  uint32_t text_len;
-  uint32_t kw_count;
-  uint8_t has_location;
-};
-static_assert(sizeof(BlobHeader) % alignof(KeywordId) == 0,
-              "keyword array must start aligned");
-
-size_t EncodedBytes(const Microblog& blog) {
-  return sizeof(BlobHeader) + blog.keywords.size() * sizeof(KeywordId) +
-         blog.text.size();
-}
-
-void Encode(const Microblog& blog, uint8_t* dst) {
-  BlobHeader h;
-  h.id = blog.id;
-  h.created_at = blog.created_at;
-  h.user_id = blog.user_id;
-  h.lat = blog.location.lat;
-  h.lon = blog.location.lon;
-  h.follower_count = blog.follower_count;
-  h.text_len = static_cast<uint32_t>(blog.text.size());
-  h.kw_count = static_cast<uint32_t>(blog.keywords.size());
-  h.has_location = blog.has_location ? 1 : 0;
-  std::memcpy(dst, &h, sizeof(h));
-  uint8_t* p = dst + sizeof(h);
-  if (!blog.keywords.empty()) {
-    std::memcpy(p, blog.keywords.data(),
-                blog.keywords.size() * sizeof(KeywordId));
-    p += blog.keywords.size() * sizeof(KeywordId);
-  }
-  if (!blog.text.empty()) {
-    std::memcpy(p, blog.text.data(), blog.text.size());
-  }
-}
-
-void Decode(const uint8_t* blob, Microblog* out) {
-  BlobHeader h;
-  std::memcpy(&h, blob, sizeof(h));
-  out->id = h.id;
-  out->created_at = h.created_at;
-  out->user_id = h.user_id;
-  out->follower_count = h.follower_count;
-  out->has_location = h.has_location != 0;
-  out->location.lat = h.lat;
-  out->location.lon = h.lon;
-  const uint8_t* p = blob + sizeof(h);
-  out->keywords.resize(h.kw_count);
-  if (h.kw_count > 0) {
-    std::memcpy(out->keywords.data(), p, h.kw_count * sizeof(KeywordId));
-  }
-  p += h.kw_count * sizeof(KeywordId);
-  out->text.assign(reinterpret_cast<const char*>(p), h.text_len);
-}
-
 /// Scratch record for With/ForEach: its string/vector keep their capacity
 /// across calls, so steady-state reads allocate nothing. Valid because the
 /// callbacks must not reenter the store.
@@ -89,12 +24,8 @@ Microblog& ScratchBlog() {
 }  // namespace
 
 size_t RawDataStore::RecordBytesOf(const Record& rec) {
-  // Mirrors RecordBytes()/Microblog::FootprintBytes() for an encoded
-  // record: sizeof(Microblog) + text + keywords + fixed overhead.
-  BlobHeader h;
-  std::memcpy(&h, rec.blob, sizeof(h));
-  return sizeof(Microblog) + h.text_len + h.kw_count * sizeof(KeywordId) +
-         kBytesPerRecordOverhead;
+  // Mirrors RecordBytes() for an encoded record.
+  return EncodedFootprintBytes(rec.blob) + kBytesPerRecordOverhead;
 }
 
 RawDataStore::RawDataStore(MemoryTracker* tracker)
@@ -124,7 +55,7 @@ const RawDataStore::Shard& RawDataStore::ShardFor(MicroblogId id) const {
 Status RawDataStore::Put(const Microblog& blog, uint32_t pcount) {
   const MicroblogId id = blog.id;
   const size_t bytes = RecordBytes(blog);
-  const size_t blob_bytes = EncodedBytes(blog);
+  const size_t blob_bytes = EncodedRecordBytes(blog);
   Shard& shard = ShardFor(id);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto [it, inserted] = shard.records.try_emplace(id);
@@ -134,7 +65,7 @@ Status RawDataStore::Put(const Microblog& blog, uint32_t pcount) {
   Record& rec = it->second;
   rec.blob = static_cast<uint8_t*>(shard.pool.Alloc(blob_bytes));
   rec.blob_bytes = static_cast<uint32_t>(blob_bytes);
-  Encode(blog, rec.blob);
+  EncodeRecord(blog, rec.blob);
   rec.pcount = pcount;
   rec.topk_count = 0;
   shard.count.Add(1);
@@ -155,7 +86,7 @@ std::optional<Microblog> RawDataStore::Get(MicroblogId id) const {
   auto it = shard.records.find(id);
   if (it == shard.records.end()) return std::nullopt;
   Microblog blog;
-  Decode(it->second.blob, &blog);
+  DecodeRecord(it->second.blob, &blog);
   return blog;
 }
 
@@ -166,18 +97,31 @@ bool RawDataStore::With(
   auto it = shard.records.find(id);
   if (it == shard.records.end()) return false;
   Microblog& scratch = ScratchBlog();
-  Decode(it->second.blob, &scratch);
+  DecodeRecord(it->second.blob, &scratch);
   fn(scratch);
   return true;
 }
 
-uint32_t RawDataStore::DecrementPcount(MicroblogId id) {
+size_t RawDataStore::Release(MicroblogId id, RecordBatch* batch) {
   Shard& shard = ShardFor(id);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.records.find(id);
   if (it == shard.records.end()) return 0;
-  if (it->second.pcount > 0) --it->second.pcount;
-  return it->second.pcount;
+  Record& rec = it->second;
+  if (rec.pcount > 1) {
+    --rec.pcount;
+    return 0;
+  }
+  const size_t bytes = RecordBytesOf(rec);
+  batch->Append(rec.blob);
+  shard.pool.Free(rec.blob, rec.blob_bytes);
+  shard.records.erase(it);
+  shard.count.Sub(1);
+  shard.bytes.Sub(bytes);
+  if (tracker_ != nullptr) {
+    tracker_->Release(MemoryComponent::kRawStore, bytes);
+  }
+  return bytes;
 }
 
 uint32_t RawDataStore::Pcount(MicroblogId id) const {
@@ -210,25 +154,6 @@ uint32_t RawDataStore::TopKCount(MicroblogId id) const {
   return it == shard.records.end() ? 0 : it->second.topk_count;
 }
 
-std::optional<Microblog> RawDataStore::Remove(MicroblogId id) {
-  Shard& shard = ShardFor(id);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.records.find(id);
-  if (it == shard.records.end()) return std::nullopt;
-  Record& rec = it->second;
-  Microblog blog;
-  Decode(rec.blob, &blog);
-  const size_t bytes = RecordBytesOf(rec);
-  shard.pool.Free(rec.blob, rec.blob_bytes);
-  shard.records.erase(it);
-  shard.count.Sub(1);
-  shard.bytes.Sub(bytes);
-  if (tracker_ != nullptr) {
-    tracker_->Release(MemoryComponent::kRawStore, bytes);
-  }
-  return blog;
-}
-
 void RawDataStore::ForEach(
     const std::function<void(const Microblog&, uint32_t, uint32_t)>& fn)
     const {
@@ -236,7 +161,7 @@ void RawDataStore::ForEach(
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     for (const auto& [id, record] : shard.records) {
-      Decode(record.blob, &scratch);
+      DecodeRecord(record.blob, &scratch);
       fn(scratch, record.pcount, record.topk_count);
     }
   }

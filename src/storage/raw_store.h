@@ -5,12 +5,13 @@
 // extension, the number of entries in which it currently ranks within
 // top-k. A record leaves memory exactly when pcount reaches zero.
 //
-// Records live as flat blobs: the fixed fields, keyword array, and text of
-// a Microblog are encoded into one contiguous allocation from the owning
-// shard's SlabPool (util/arena.h), so storing a record costs a single pool
-// Alloc + memcpy instead of the std::string/std::vector heap round-trips a
-// Microblog copy pays, and eviction returns the blob to the pool for the
-// next arrival. Readers materialize a Microblog view on demand (With/
+// Records live as flat blobs (storage/record_batch.h): the fixed fields,
+// keyword array, and text of a Microblog are encoded into one contiguous
+// allocation from the owning shard's SlabPool (util/arena.h), so storing a
+// record costs a single pool Alloc + memcpy instead of the std::string/
+// std::vector heap round-trips a Microblog copy pays. Eviction copies the
+// blob, still encoded, into the flush batch and returns it to the pool for
+// the next arrival. Readers materialize a Microblog view on demand (With/
 // ForEach reuse a scratch record, so steady-state reads allocate nothing).
 //
 // Byte accounting is logical (RecordBytes of the content, as before) and
@@ -29,6 +30,7 @@
 #include <vector>
 
 #include "model/microblog.h"
+#include "storage/record_batch.h"
 #include "util/arena.h"
 #include "util/memory_tracker.h"
 #include "util/relaxed_counter.h"
@@ -65,9 +67,11 @@ class RawDataStore {
   /// call. Returns false if absent. `fn` must not reenter the store.
   bool With(MicroblogId id, const std::function<void(const Microblog&)>& fn) const;
 
-  /// Decrements the reference count; returns the remaining count.
-  /// The record itself stays until Remove(). Returns 0 also when absent.
-  uint32_t DecrementPcount(MicroblogId id);
+  /// Drops one reference to `id`. When it was the last one, removes the
+  /// record in the same lookup, appends its encoded bytes to `batch`, and
+  /// returns the bytes released (RecordBytes of the record); otherwise
+  /// returns 0. An absent id is a no-op.
+  size_t Release(MicroblogId id, RecordBatch* batch);
 
   uint32_t Pcount(MicroblogId id) const;
 
@@ -75,10 +79,6 @@ class RawDataStore {
   void IncrementTopK(MicroblogId id);
   uint32_t DecrementTopK(MicroblogId id);
   uint32_t TopKCount(MicroblogId id) const;
-
-  /// Removes and returns the record, releasing its bytes. nullopt if
-  /// absent.
-  std::optional<Microblog> Remove(MicroblogId id);
 
   /// Visits every record under its shard lock (shards visited one at a
   /// time). The reference is to a scratch record valid only during the

@@ -197,6 +197,7 @@ Status SegmentDiskStore::LoadSegment(
   const uint32_t seg_idx = static_cast<uint32_t>(segments_.size() - 1);
 
   std::vector<TermId> terms;
+  std::vector<Posting> run(1);
   for (PendingRecord& rec : records) {
     RecordLocation loc;
     loc.segment = seg_idx;
@@ -206,28 +207,26 @@ Status SegmentDiskStore::LoadSegment(
     max_record_id_ = std::max(max_record_id_, rec.blog.id);
     ++stats_.records_recovered;
     if (extractor != nullptr && score_fn != nullptr) {
-      const double score = score_fn(rec.blog);
+      run[0] = Posting{rec.blog.id, score_fn(rec.blog)};
       extractor->ExtractTerms(rec.blog, &terms);
       for (TermId term : terms) {
-        KFLUSH_RETURN_IF_ERROR(AddPosting(term, rec.blog.id, score));
+        KFLUSH_RETURN_IF_ERROR(AddPostings(term, run));
       }
     }
   }
   return Status::OK();
 }
 
-Status SegmentDiskStore::AddPosting(TermId term, MicroblogId id,
-                                    double score) {
+Status SegmentDiskStore::AddPostings(TermId term,
+                                     const std::vector<Posting>& run) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!DiskPostingInsertAscending(&postings_[term], id, score)) {
-    return Status::OK();
-  }
-  ++num_postings_;
-  ++stats_.postings_added;
+  const size_t added = DiskPostingsInsertAscending(&postings_[term], run);
+  num_postings_ += added;
+  stats_.postings_added += added;
   return Status::OK();
 }
 
-Status SegmentDiskStore::WriteBatch(std::vector<Microblog> batch) {
+Status SegmentDiskStore::WriteBatch(const RecordBatch& batch) {
   if (batch.empty()) return Status::OK();
   TraceSpan span("disk", "write_segment",
                  {TraceArg::Uint("records", batch.size())});
@@ -243,8 +242,11 @@ Status SegmentDiskStore::WriteBatch(std::vector<Microblog> batch) {
   std::vector<std::pair<MicroblogId, RecordLocation>> locations;
   locations.reserve(batch.size());
   std::string record;
+  Microblog blog;
   uint64_t record_bytes = 0;
-  for (const Microblog& blog : batch) {
+  batch.ForEach([&](const uint8_t* blob) {
+    // One record at a time, from the batch's encoding into the segment's.
+    DecodeRecord(blob, &blog);
     record.clear();
     record.push_back(static_cast<char>(kRecordFrame));
     EncodeMicroblog(blog, &record);
@@ -254,7 +256,7 @@ Status SegmentDiskStore::WriteBatch(std::vector<Microblog> batch) {
     locations.emplace_back(blog.id, loc);
     record_bytes += loc.length;
     AppendFrame(record.data(), record.size(), &image);
-  }
+  });
   const size_t body_end = image.size();
   AppendFooterFrame(batch.size(), &image);
 

@@ -55,10 +55,11 @@ class SegmentDiskStore : public DiskStore {
   SegmentDiskStore(const SegmentDiskStore&) = delete;
   SegmentDiskStore& operator=(const SegmentDiskStore&) = delete;
 
-  Status AddPosting(TermId term, MicroblogId id, double score) override;
-  /// Seals one new segment holding `batch`, fsynced per the durability
-  /// level before the catalog is updated (so an acked write is durable).
-  Status WriteBatch(std::vector<Microblog> batch) override;
+  Status AddPostings(TermId term, const std::vector<Posting>& run) override;
+  /// Seals one new segment holding `batch` (each record re-encoded into a
+  /// serde frame), fsynced per the durability level before the catalog is
+  /// updated (so an acked write is durable).
+  Status WriteBatch(const RecordBatch& batch) override;
   Status QueryTerm(TermId term, size_t limit,
                    std::vector<Posting>* out) override;
   Status GetRecord(MicroblogId id, Microblog* out) override;

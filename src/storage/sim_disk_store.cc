@@ -6,28 +6,28 @@
 
 namespace kflush {
 
-Status SimDiskStore::AddPosting(TermId term, MicroblogId id, double score) {
+Status SimDiskStore::AddPostings(TermId term,
+                                 const std::vector<Posting>& run) {
   std::lock_guard<std::mutex> lock(mu_);
   // Duplicates are dropped (a record may be re-registered if it was
   // trimmed from an entry and later the whole record is flushed).
-  if (!DiskPostingInsertAscending(&postings_[term], id, score)) {
-    return Status::OK();
-  }
-  ++num_postings_;
-  ++stats_.postings_added;
+  const size_t added = DiskPostingsInsertAscending(&postings_[term], run);
+  num_postings_ += added;
+  stats_.postings_added += added;
   return Status::OK();
 }
 
-Status SimDiskStore::WriteBatch(std::vector<Microblog> batch) {
+Status SimDiskStore::WriteBatch(const RecordBatch& batch) {
   TraceSpan span("disk", "write_batch",
                  {TraceArg::Uint("records", batch.size())});
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.write_batches;
-  for (Microblog& blog : batch) {
-    stats_.record_bytes_written += blog.FootprintBytes();
-    ++stats_.records_written;
-    records_[blog.id] = std::move(blog);
-  }
+  batch.ForEach([this](const uint8_t* blob) {
+    const uint8_t* copy = stored_.Append(blob);
+    locations_[EncodedRecordId(copy)] = copy;
+  });
+  stats_.record_bytes_written += batch.footprint_bytes();
+  stats_.records_written += batch.size();
   return Status::OK();
 }
 
@@ -47,18 +47,18 @@ Status SimDiskStore::GetRecord(MicroblogId id, Microblog* out) {
   TraceSpan span("disk", "get_record", {TraceArg::Uint("id", id)});
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.records_read;
-  auto it = records_.find(id);
-  if (it == records_.end()) {
+  auto it = locations_.find(id);
+  if (it == locations_.end()) {
     return Status::NotFound("record not on disk");
   }
-  *out = it->second;
+  DecodeRecord(it->second, out);
   stats_.record_bytes_read += out->FootprintBytes();
   return Status::OK();
 }
 
 bool SimDiskStore::Contains(MicroblogId id) {
   std::lock_guard<std::mutex> lock(mu_);
-  return records_.count(id) != 0;
+  return locations_.count(id) != 0;
 }
 
 bool SimDiskStore::MaxTermScore(TermId term, double* score) {
@@ -76,7 +76,7 @@ DiskStats SimDiskStore::stats() const {
 
 size_t SimDiskStore::NumRecords() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return records_.size();
+  return locations_.size();
 }
 
 size_t SimDiskStore::NumPostings() const {

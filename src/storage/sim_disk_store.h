@@ -20,8 +20,9 @@ class SimDiskStore : public DiskStore {
  public:
   SimDiskStore() = default;
 
-  Status AddPosting(TermId term, MicroblogId id, double score) override;
-  Status WriteBatch(std::vector<Microblog> batch) override;
+  Status AddPostings(TermId term, const std::vector<Posting>& run) override;
+  /// Keeps a copy of the encoded records; GetRecord decodes from it.
+  Status WriteBatch(const RecordBatch& batch) override;
   Status QueryTerm(TermId term, size_t limit,
                    std::vector<Posting>* out) override;
   Status GetRecord(MicroblogId id, Microblog* out) override;
@@ -36,9 +37,11 @@ class SimDiskStore : public DiskStore {
  private:
   mutable std::mutex mu_;
   /// term -> postings kept score-ascending (appended in arrival order,
-  /// read back-to-front; see DiskPostingInsertAscending).
+  /// read back-to-front; see DiskPostingsInsertAscending).
   std::unordered_map<TermId, std::vector<Posting>> postings_;
-  std::unordered_map<MicroblogId, Microblog> records_;
+  /// Every record written, still encoded; a record's latest write wins.
+  RecordBatch stored_;
+  std::unordered_map<MicroblogId, const uint8_t*> locations_;
   size_t num_postings_ = 0;
   DiskStats stats_;
 };

@@ -113,7 +113,8 @@ void Deploy(const std::vector<Record>& records, ShardedMicroblogStore* store) {
         ASSERT_TRUE(shard->disk()->WriteBatch({r.blog}).ok());
       }
       for (TermId term : disk_terms[s]) {
-        ASSERT_TRUE(shard->disk()->AddPosting(term, r.blog.id, r.score).ok());
+        ASSERT_TRUE(
+            shard->disk()->AddPostings(term, {{r.blog.id, r.score}}).ok());
       }
     }
   }

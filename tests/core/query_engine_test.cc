@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "../testing/test_util.h"
+#include "storage/sim_disk_store.h"
 
 namespace kflush {
 namespace {
@@ -53,7 +56,7 @@ class QueryEngineTest : public ::testing::Test {
     const Microblog blog = MakeBlog(id, ts, kws);
     const double score = store_.ranking()->Score(blog);
     for (KeywordId kw : kws) {
-      ASSERT_TRUE(store_.disk()->AddPosting(kw, id, score).ok());
+      ASSERT_TRUE(store_.disk()->AddPostings(kw, {{id, score}}).ok());
     }
     ASSERT_TRUE(store_.disk()->WriteBatch({blog}).ok());
   }
@@ -306,6 +309,54 @@ TEST_F(QueryEngineTest, QueryUsesStoreDefaultK) {
   auto result = engine_.Execute(Single(1));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->results.size(), static_cast<size_t>(store_.k()));
+}
+
+/// A disk whose WriteBatch first runs `during_write`: the window in which
+/// a flushed batch has left the raw store and is not yet on disk.
+class InterceptedDiskStore : public SimDiskStore {
+ public:
+  std::function<void()> during_write;
+  Status WriteBatch(const RecordBatch& batch) override {
+    if (during_write) during_write();
+    return SimDiskStore::WriteBatch(batch);
+  }
+};
+
+TEST(QueryEngineInFlightTest, RecordsBeingFlushedStayVisible) {
+  InterceptedDiskStore disk;
+  StoreOptions options = SmallStoreOptions(PolicyKind::kKFlushing, 1 << 20,
+                                           /*k=*/2);
+  options.disk = &disk;
+  MicroblogStore store(options);
+  QueryEngine engine(&store);
+  for (MicroblogId id = 1; id <= 5; ++id) {
+    ASSERT_TRUE(store.Insert(MakeBlog(id, id * 10, {1})).ok());
+  }
+  TopKQuery query;
+  query.terms = {1};
+  query.k = 5;
+
+  std::vector<MicroblogId> during;
+  bool ran = false;
+  disk.during_write = [&] {
+    ran = true;
+    auto result = engine.Execute(query);
+    ASSERT_TRUE(result.ok());
+    for (const Microblog& blog : result->results) during.push_back(blog.id);
+    EXPECT_EQ(result->from_memory + result->from_disk,
+              result->results.size());
+  };
+  store.FlushOnce();
+  disk.during_write = nullptr;
+  ASSERT_TRUE(ran) << "the flush wrote no batch";
+  // Phase 3 evicted the whole entry: every record was in the batch.
+  EXPECT_EQ(store.raw_store()->size(), 0u);
+  EXPECT_EQ(during, (std::vector<MicroblogId>{5, 4, 3, 2, 1}));
+
+  auto after = engine.Execute(query);
+  ASSERT_TRUE(after.ok());
+  ASSERT_EQ(after->results.size(), 5u);
+  EXPECT_EQ(after->from_disk, 5u);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
+#include <memory>
 #include <vector>
 
 #include "../testing/test_util.h"
@@ -54,12 +54,12 @@ TEST(SegmentedIndexTest, FlushOldestReportsEveryPosting) {
   index.SealActiveSegment();
   index.Insert(1, 12, 3.0, 3);
 
-  std::map<TermId, std::vector<MicroblogId>> removed;
-  const size_t freed = index.FlushOldestSegment(
-      [&](TermId term, const Posting& p) { removed[term].push_back(p.id); });
-  EXPECT_GT(freed, 0u);
-  EXPECT_EQ(removed[1], (std::vector<MicroblogId>{10}));
-  EXPECT_EQ(removed[2].size(), 2u);
+  std::unique_ptr<InvertedIndex> oldest = index.PopOldestSegment();
+  EXPECT_GT(oldest->MemoryBytes(), 0u);
+  std::vector<Posting> postings;
+  oldest->Peek(1, 10, &postings);
+  EXPECT_EQ(IdsOf(postings), (std::vector<MicroblogId>{10}));
+  EXPECT_EQ(oldest->EntrySize(2), 2u);
   // Newer segment unaffected.
   EXPECT_EQ(index.EntrySize(1), 1u);
   EXPECT_EQ(index.EntrySize(2), 0u);
@@ -68,9 +68,7 @@ TEST(SegmentedIndexTest, FlushOldestReportsEveryPosting) {
 TEST(SegmentedIndexTest, FlushLastSegmentLeavesFreshActive) {
   SegmentedIndex index;
   index.Insert(1, 10, 1.0, 1);
-  size_t reported = 0;
-  index.FlushOldestSegment([&](TermId, const Posting&) { ++reported; });
-  EXPECT_EQ(reported, 1u);
+  EXPECT_EQ(index.PopOldestSegment()->EntrySize(1), 1u);
   EXPECT_EQ(index.NumSegments(), 1u);
   EXPECT_EQ(index.EntrySize(1), 0u);
   // Still usable.
@@ -100,7 +98,7 @@ TEST(SegmentedIndexTest, MemoryChargedToTracker) {
   EXPECT_GT(tracker.ComponentUsed(MemoryComponent::kIndex), 0u);
   EXPECT_EQ(index.MemoryBytes(),
             tracker.ComponentUsed(MemoryComponent::kIndex));
-  index.FlushOldestSegment([](TermId, const Posting&) {});
+  index.PopOldestSegment().reset();
   EXPECT_EQ(tracker.ComponentUsed(MemoryComponent::kIndex), 0u);
 }
 
@@ -113,13 +111,9 @@ TEST(SegmentedIndexTest, ManySegmentsFlushInOrder) {
   }
   EXPECT_EQ(index.NumSegments(), 6u);
   // Oldest-first: segment holding term 100 goes first.
-  std::vector<TermId> flushed_terms;
-  index.FlushOldestSegment(
-      [&](TermId term, const Posting&) { flushed_terms.push_back(term); });
-  EXPECT_EQ(flushed_terms, (std::vector<TermId>{100}));
-  index.FlushOldestSegment(
-      [&](TermId term, const Posting&) { flushed_terms.push_back(term); });
-  EXPECT_EQ(flushed_terms, (std::vector<TermId>{100, 101}));
+  EXPECT_EQ(index.PopOldestSegment()->EntrySize(100), 1u);
+  EXPECT_EQ(index.PopOldestSegment()->EntrySize(101), 1u);
+  EXPECT_EQ(index.NumSegments(), 4u);
 }
 
 }  // namespace

@@ -17,6 +17,9 @@
 //   query.stage_micros.<stage> count == query.executed, for every stage
 //   sum of the stage sums  == sum of the latency sums (the stages
 //                             partition each query's latency)
+//   flush.stage_micros.<stage> count == flush.cycles, for every stage
+//   sum of the flush stage sums == flush.cycle_micros sum (the stages
+//                             partition each cycle's wall time)
 
 #include <gtest/gtest.h>
 
@@ -125,6 +128,27 @@ void ExpectStagesPartitionLatency(const MetricsSnapshot& snap,
   EXPECT_EQ(stage_sum, latency_sum) << label;
 }
 
+// Every flush cycle records each of its four stages once (0 when the
+// stage did not run), and the stages partition its wall time, so their
+// sums add up to flush.cycle_micros's sum exactly.
+void ExpectStagesPartitionCycles(const MetricsSnapshot& snap,
+                                 const std::string& label) {
+  const uint64_t cycles = snap.counter_or("flush.cycles");
+  ASSERT_GT(cycles, 0u) << label << ": no flush cycle ran";
+  uint64_t stage_sum = 0;
+  for (const char* stage : {"select", "index", "drop", "drain"}) {
+    const std::string name = std::string("flush.stage_micros.") + stage;
+    auto it = snap.histograms.find(name);
+    ASSERT_NE(it, snap.histograms.end()) << label << " " << name;
+    EXPECT_EQ(it->second.count(), cycles) << label << " " << name;
+    stage_sum += it->second.sum();
+  }
+  auto cycle = snap.histograms.find("flush.cycle_micros");
+  ASSERT_NE(cycle, snap.histograms.end()) << label;
+  EXPECT_EQ(cycle->second.count(), cycles) << label;
+  EXPECT_EQ(stage_sum, cycle->second.sum()) << label;
+}
+
 uint64_t SumPhases(const MetricsSnapshot& snap, const std::string& field) {
   uint64_t sum = 0;
   for (int i = 1; i <= 3; ++i) {
@@ -163,6 +187,47 @@ TEST(MetricsConservationTest, PhaseBreakdownSumsToCycleTotals) {
         << PolicyKindName(policy);
     EXPECT_GT(snap.counter_or("flush.phase1.runs"), 0u)
         << PolicyKindName(policy);
+  }
+}
+
+// Ingest-only sharded run (enough inserts for several cycles per shard).
+MetricsSnapshot ShardedIngestSnapshot(PolicyKind policy, size_t shards) {
+  TweetGeneratorOptions stream;
+  stream.seed = 20160516;
+  stream.vocabulary_size = 3000;
+  stream.num_users = 1500;
+  SimClock clock(stream.start_time);
+  ShardedStoreOptions options;
+  options.store.memory_budget_bytes = 256 * 1024;
+  options.store.flush_fraction = 0.2;
+  options.store.k = 10;
+  options.store.policy = policy;
+  options.store.auto_flush = true;
+  options.store.clock = &clock;
+  options.num_shards = shards;
+  ShardedMicroblogStore store(options);
+  TweetGenerator tweets(stream);
+  for (int i = 0; i < 10'000; ++i) {
+    Microblog blog = tweets.Next();
+    clock.Set(blog.created_at);
+    EXPECT_TRUE(store.Insert(std::move(blog)).ok());
+  }
+  return store.AggregatedMetrics();
+}
+
+TEST(MetricsConservationTest, FlushStagesPartitionEveryCycle) {
+  for (PolicyKind policy :
+       {PolicyKind::kFifo, PolicyKind::kLru, PolicyKind::kKFlushing,
+        PolicyKind::kKFlushingMK}) {
+    const std::string name = PolicyKindName(policy);
+    auto run = RunWorkload(policy);
+    ExpectStagesPartitionCycles(run->store->metrics_registry()->Snapshot(),
+                                name + " single store");
+    for (size_t shards : {size_t{1}, testing_util::TestShardCount()}) {
+      ExpectStagesPartitionCycles(
+          ShardedIngestSnapshot(policy, shards),
+          name + " " + std::to_string(shards) + " shards");
+    }
   }
 }
 

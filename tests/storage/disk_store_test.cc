@@ -57,9 +57,9 @@ TEST_P(DiskStoreTest, EmptyQueries) {
 }
 
 TEST_P(DiskStoreTest, PostingsComeBackScoreOrdered) {
-  ASSERT_TRUE(store_->AddPosting(1, 10, 5.0).ok());
-  ASSERT_TRUE(store_->AddPosting(1, 11, 9.0).ok());
-  ASSERT_TRUE(store_->AddPosting(1, 12, 7.0).ok());
+  ASSERT_TRUE(store_->AddPostings(1, {{10, 5.0}}).ok());
+  ASSERT_TRUE(store_->AddPostings(1, {{11, 9.0}}).ok());
+  ASSERT_TRUE(store_->AddPostings(1, {{12, 7.0}}).ok());
   std::vector<Posting> out;
   ASSERT_TRUE(store_->QueryTerm(1, 10, &out).ok());
   ASSERT_EQ(out.size(), 3u);
@@ -70,7 +70,8 @@ TEST_P(DiskStoreTest, PostingsComeBackScoreOrdered) {
 
 TEST_P(DiskStoreTest, QueryTermRespectsLimit) {
   for (MicroblogId id = 0; id < 20; ++id) {
-    ASSERT_TRUE(store_->AddPosting(1, id, static_cast<double>(id)).ok());
+    ASSERT_TRUE(
+        store_->AddPostings(1, {{id, static_cast<double>(id)}}).ok());
   }
   std::vector<Posting> out;
   ASSERT_TRUE(store_->QueryTerm(1, 5, &out).ok());
@@ -79,8 +80,8 @@ TEST_P(DiskStoreTest, QueryTermRespectsLimit) {
 }
 
 TEST_P(DiskStoreTest, DuplicatePostingIgnored) {
-  ASSERT_TRUE(store_->AddPosting(1, 10, 5.0).ok());
-  ASSERT_TRUE(store_->AddPosting(1, 10, 5.0).ok());
+  ASSERT_TRUE(store_->AddPostings(1, {{10, 5.0}}).ok());
+  ASSERT_TRUE(store_->AddPostings(1, {{10, 5.0}}).ok());
   EXPECT_EQ(store_->NumPostings(), 1u);
 }
 
@@ -117,13 +118,54 @@ TEST_P(DiskStoreTest, MultipleBatchesAccumulate) {
 }
 
 TEST_P(DiskStoreTest, StatsCountAccesses) {
-  ASSERT_TRUE(store_->AddPosting(1, 10, 5.0).ok());
+  ASSERT_TRUE(store_->AddPostings(1, {{10, 5.0}}).ok());
   std::vector<Posting> out;
   ASSERT_TRUE(store_->QueryTerm(1, 10, &out).ok());
   ASSERT_TRUE(store_->QueryTerm(2, 10, &out).ok());
   const DiskStats stats = store_->stats();
   EXPECT_EQ(stats.postings_added, 1u);
   EXPECT_EQ(stats.term_queries, 2u);
+}
+
+TEST_P(DiskStoreTest, RunsRegisterLikeOnePostingRuns) {
+  // Each shape goes in as one AddPostings call under one term and as
+  // one-posting runs under another; both terms already hold postings the
+  // run interleaves with. The lists and postings_added must agree.
+  const std::vector<std::vector<Posting>> shapes = {
+      {{1, 1.0}, {2, 2.0}, {3, 3.0}, {4, 4.0}, {5, 5.0}},     // ascending
+      {{5, 5.0}, {4, 4.0}, {3, 3.0}, {2, 2.0}, {1, 1.0}},     // descending
+      {{3, 3.0}, {1, 1.0}, {5, 5.0}, {2, 2.0}, {4, 4.0}},     // interleaved
+      {{5, 7.0}, {3, 7.0}, {1, 7.0}, {4, 7.0}, {2, 7.0}},     // equal scores
+      {{10, 5.0}, {11, 6.0}, {10, 5.0}, {11, 6.0}, {12, 4.0}},  // duplicates
+  };
+  TermId term = 1;
+  for (const std::vector<Posting>& run : shapes) {
+    const TermId whole = term++;
+    const TermId single = term++;
+    for (TermId t : {whole, single}) {
+      ASSERT_TRUE(store_->AddPostings(t, {{100, 2.5}, {101, 9.0}}).ok());
+    }
+    const uint64_t before = store_->stats().postings_added;
+    ASSERT_TRUE(store_->AddPostings(whole, run).ok());
+    const uint64_t added_whole = store_->stats().postings_added - before;
+    for (const Posting& posting : run) {
+      ASSERT_TRUE(store_->AddPostings(single, {posting}).ok());
+    }
+    const uint64_t added_single =
+        store_->stats().postings_added - before - added_whole;
+    EXPECT_EQ(added_whole, added_single) << "term " << whole;
+    std::vector<Posting> a, b;
+    ASSERT_TRUE(store_->QueryTerm(whole, 100, &a).ok());
+    ASSERT_TRUE(store_->QueryTerm(single, 100, &b).ok());
+    ASSERT_EQ(a.size(), b.size()) << "term " << whole;
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].id, b[i].id) << "term " << whole << " rank " << i;
+      EXPECT_EQ(a[i].score, b[i].score) << "term " << whole << " rank " << i;
+      if (i > 0) {
+        EXPECT_TRUE(RanksBefore(a[i - 1], a[i]));
+      }
+    }
+  }
 }
 
 TEST_P(DiskStoreTest, EmptyBatchIsOk) {

@@ -23,13 +23,13 @@ class FlakyDiskStore : public DiskStore {
   std::atomic<bool> fail_batches{false};
   std::atomic<bool> fail_queries{false};
 
-  Status AddPosting(TermId term, MicroblogId id, double score) override {
+  Status AddPostings(TermId term, const std::vector<Posting>& run) override {
     if (fail_postings.load()) return Status::IOError("injected");
-    return inner_.AddPosting(term, id, score);
+    return inner_.AddPostings(term, run);
   }
-  Status WriteBatch(std::vector<Microblog> batch) override {
+  Status WriteBatch(const RecordBatch& batch) override {
     if (fail_batches.load()) return Status::IOError("injected");
-    return inner_.WriteBatch(std::move(batch));
+    return inner_.WriteBatch(batch);
   }
   Status QueryTerm(TermId term, size_t limit,
                    std::vector<Posting>* out) override {

@@ -52,14 +52,20 @@ TEST(RawDataStoreTest, PcountLifecycle) {
   RawDataStore store;
   ASSERT_TRUE(store.Put(MakeBlog(1, 100, {1, 2, 3}), 3).ok());
   EXPECT_EQ(store.Pcount(1), 3u);
-  EXPECT_EQ(store.DecrementPcount(1), 2u);
-  EXPECT_EQ(store.DecrementPcount(1), 1u);
-  EXPECT_EQ(store.DecrementPcount(1), 0u);
-  // Saturates at zero rather than wrapping.
-  EXPECT_EQ(store.DecrementPcount(1), 0u);
-  // Missing records report zero.
-  EXPECT_EQ(store.DecrementPcount(99), 0u);
+  // While other references remain, Release keeps the record and appends
+  // nothing.
+  RecordBatch batch;
+  EXPECT_EQ(store.Release(1, &batch), 0u);
+  EXPECT_EQ(store.Pcount(1), 2u);
+  EXPECT_EQ(store.Release(1, &batch), 0u);
+  EXPECT_EQ(store.Pcount(1), 1u);
+  EXPECT_TRUE(store.Contains(1));
+  EXPECT_TRUE(batch.empty());
+  // An absent id is a no-op and reports zero.
+  EXPECT_EQ(store.Release(99, &batch), 0u);
+  EXPECT_TRUE(batch.empty());
   EXPECT_EQ(store.Pcount(99), 0u);
+  EXPECT_EQ(store.size(), 1u);
 }
 
 TEST(RawDataStoreTest, TopKCountLifecycle) {
@@ -76,20 +82,45 @@ TEST(RawDataStoreTest, TopKCountLifecycle) {
   EXPECT_EQ(store.TopKCount(42), 0u);
 }
 
-TEST(RawDataStoreTest, RemoveReturnsRecordAndFreesBytes) {
+TEST(RawDataStoreTest, LastReleaseRemovesRecordAndAppendsItsBytes) {
   MemoryTracker tracker(1 << 20);
   RawDataStore store(&tracker);
-  Microblog blog = MakeBlog(1, 100, {1, 2}, 1, "some text payload");
+  Microblog blog = MakeBlog(1, 100, {1, 2}, 7, "some text payload");
+  blog.has_location = true;
+  blog.location = GeoPoint{40.5, -73.25};
+  blog.follower_count = 42;
   const size_t bytes = RawDataStore::RecordBytes(blog);
   ASSERT_TRUE(store.Put(blog, 2).ok());
   EXPECT_EQ(tracker.ComponentUsed(MemoryComponent::kRawStore), bytes);
 
-  auto removed = store.Remove(1);
-  ASSERT_TRUE(removed.has_value());
-  EXPECT_EQ(removed->id, 1u);
+  RecordBatch batch;
+  EXPECT_EQ(store.Release(1, &batch), 0u);
+  EXPECT_EQ(store.Release(1, &batch), bytes);  // exactly its RecordBytes
   EXPECT_EQ(store.size(), 0u);
+  EXPECT_FALSE(store.Contains(1));
+  EXPECT_EQ(store.MemoryBytes(), 0u);
   EXPECT_EQ(tracker.ComponentUsed(MemoryComponent::kRawStore), 0u);
-  EXPECT_FALSE(store.Remove(1).has_value());
+
+  // The appended bytes decode to the stored record.
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch.footprint_bytes(), blog.FootprintBytes());
+  const uint8_t* blob = batch.Find(1);
+  ASSERT_NE(blob, nullptr);
+  Microblog decoded;
+  DecodeRecord(blob, &decoded);
+  EXPECT_EQ(decoded.id, blog.id);
+  EXPECT_EQ(decoded.created_at, blog.created_at);
+  EXPECT_EQ(decoded.user_id, blog.user_id);
+  EXPECT_EQ(decoded.follower_count, blog.follower_count);
+  EXPECT_TRUE(decoded.has_location);
+  EXPECT_EQ(decoded.location.lat, blog.location.lat);
+  EXPECT_EQ(decoded.location.lon, blog.location.lon);
+  EXPECT_EQ(decoded.keywords, blog.keywords);
+  EXPECT_EQ(decoded.text, blog.text);
+
+  // Gone: a further release is a no-op.
+  EXPECT_EQ(store.Release(1, &batch), 0u);
+  EXPECT_EQ(batch.size(), 1u);
 }
 
 TEST(RawDataStoreTest, MemoryBytesTracksContents) {
@@ -115,12 +146,14 @@ TEST(RawDataStoreTest, ConcurrentPutsAndRemoves) {
             static_cast<MicroblogId>(t) * kPerThread + static_cast<MicroblogId>(i);
         ASSERT_TRUE(store.Put(MakeBlog(id, id, {1}), 1).ok());
       }
-      // Remove every other record.
+      // Release (and so remove) every other record.
+      RecordBatch batch;
       for (int i = 0; i < kPerThread; i += 2) {
         const MicroblogId id =
             static_cast<MicroblogId>(t) * kPerThread + static_cast<MicroblogId>(i);
-        ASSERT_TRUE(store.Remove(id).has_value());
+        ASSERT_GT(store.Release(id, &batch), 0u);
       }
+      ASSERT_EQ(batch.size(), static_cast<size_t>(kPerThread / 2));
     });
   }
   for (auto& th : threads) th.join();

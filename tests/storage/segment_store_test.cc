@@ -209,10 +209,10 @@ TEST_F(SegmentStoreTest, SequenceResumesPastRecoveredSegments) {
 TEST_F(SegmentStoreTest, PostingsOrderAndDuplicatesMatchDiskContract) {
   auto store = OpenFresh();
   ASSERT_NE(store, nullptr);
-  ASSERT_TRUE(store->AddPosting(1, 10, 5.0).ok());
-  ASSERT_TRUE(store->AddPosting(1, 11, 9.0).ok());
-  ASSERT_TRUE(store->AddPosting(1, 12, 7.0).ok());
-  ASSERT_TRUE(store->AddPosting(1, 10, 5.0).ok());  // duplicate ignored
+  ASSERT_TRUE(store->AddPostings(1, {{10, 5.0}}).ok());
+  ASSERT_TRUE(store->AddPostings(1, {{11, 9.0}}).ok());
+  ASSERT_TRUE(store->AddPostings(1, {{12, 7.0}}).ok());
+  ASSERT_TRUE(store->AddPostings(1, {{10, 5.0}}).ok());  // duplicate ignored
   EXPECT_EQ(store->NumPostings(), 3u);
   std::vector<Posting> out;
   ASSERT_TRUE(store->QueryTerm(1, 2, &out).ok());

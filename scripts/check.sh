@@ -53,7 +53,10 @@
 #                 (including the flush-cycle identity: every
 #                 flush.stage_micros.{select,index,drop,drain} count equals
 #                 flush.cycles and the four sums add up to the
-#                 flush.cycle_micros sum), then a traced
+#                 flush.cycle_micros sum; and the query identity: every
+#                 query.stage_micros.{postings,disk,merge,materialize}
+#                 count equals query.executed and the four sums add up to
+#                 the query.latency_micros.* sums), then a traced
 #                 bench_fig5_memory_behavior run validated with
 #                 scripts/validate_trace_json.py. Artifacts land in
 #                 KFLUSH_BENCH_OUT (default: a temp dir) so CI can upload them.

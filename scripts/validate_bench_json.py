@@ -16,8 +16,12 @@ where each <snapshot> is a MetricsSnapshot::ToJson() object holding
 carrying count/min/max/mean/sum and p50/p90/p95/p99/p999 fields. The four
 flush.stage_micros.<stage> histograms are required too, and once
 flush.cycles > 0 each must count one sample per cycle and their sums must
-add up to flush.cycle_micros's sum (the stages partition every cycle). The durable
-tier's disk.* recovery counters and flush_buffer.requeues are required
+add up to flush.cycle_micros's sum (the stages partition every cycle).
+Likewise, once query.executed > 0 the four query.stage_micros.<stage>
+histograms must each count one sample per query, and their sums must add
+up to the sum of the query.latency_micros.<type>.<hit|miss> sums (the
+stages partition every query). The durable tier's disk.* recovery
+counters and flush_buffer.requeues are required
 unconditionally (zero on non-durable runs); the wal.* series are
 validated as an all-or-nothing family when any of them appears, with
 wal.fsync_micros's count cross-checked against the wal.fsyncs counter.
@@ -69,6 +73,7 @@ REQUIRED_GAUGES = ("memory.budget_bytes", "memory.data_used_bytes",
                    "store.resident_records")
 QUERY_TYPES = ("single", "and", "or")
 FLUSH_STAGES = ("select", "index", "drop", "drain")
+QUERY_STAGES = ("postings", "disk", "merge", "materialize")
 OUTCOMES = ("hit", "miss")
 
 # Durable-tier series (docs/INTERNALS.md, "Durability"). Exported only
@@ -145,35 +150,50 @@ def check_snapshot(errors, where, snap):
         errors.append(f"{where}: query.unproven_hits exceeds "
                       "query.memory_hits")
 
+    # Stage histograms partition each flush cycle and each query.
     if "flush.cycle_micros" not in histograms:
         errors.append(f"{where}: missing histogram 'flush.cycle_micros'")
     else:
-        check_flush_stages(errors, where, counters, histograms)
+        check_stage_partition(
+            errors, where, histograms, "flush.stage_micros", FLUSH_STAGES,
+            counters.get("flush.cycles", 0), "flush.cycles",
+            histograms["flush.cycle_micros"].get("sum"),
+            "the flush.cycle_micros sum")
+    executed = counters.get("query.executed", 0)
+    if executed > 0:
+        check_stage_partition(
+            errors, where, histograms, "query.stage_micros", QUERY_STAGES,
+            executed, "query.executed",
+            sum(histograms.get(f"query.latency_micros.{qtype}.{outcome}",
+                               {}).get("sum", 0)
+                for qtype in QUERY_TYPES for outcome in OUTCOMES),
+            "the query.latency_micros.* sum")
 
     check_wal_family(errors, where, counters, histograms)
 
 
-def check_flush_stages(errors, where, counters, histograms):
-    """The flush.stage_micros.* histograms partition each cycle's time."""
-    stages = {}
-    for stage in FLUSH_STAGES:
-        name = f"flush.stage_micros.{stage}"
+def check_stage_partition(errors, where, histograms, prefix, stages,
+                          samples, samples_name, total_sum, total_name):
+    """The <prefix>.<stage> histograms partition a timed quantity: once
+    there are samples, each stage counts one per sample, and the stage
+    sums add up to the quantity's total."""
+    found = {}
+    for stage in stages:
+        name = f"{prefix}.{stage}"
         if not isinstance(histograms.get(name), dict):
             errors.append(f"{where}: missing histogram '{name}'")
             continue
-        stages[name] = histograms[name]
-    cycles = counters.get("flush.cycles", 0)
-    if cycles == 0 or len(stages) != len(FLUSH_STAGES):
+        found[name] = histograms[name]
+    if samples == 0 or len(found) != len(stages):
         return
-    for name, hist in stages.items():
-        if hist.get("count") != cycles:
+    for name, hist in found.items():
+        if hist.get("count") != samples:
             errors.append(f"{where}: {name} count {hist.get('count')} != "
-                          f"flush.cycles {cycles}")
-    stage_sum = sum(hist.get("sum", 0) for hist in stages.values())
-    cycle_sum = histograms["flush.cycle_micros"].get("sum")
-    if stage_sum != cycle_sum:
-        errors.append(f"{where}: flush stage sums add up to {stage_sum}, "
-                      f"flush.cycle_micros sum is {cycle_sum}")
+                          f"{samples_name} {samples}")
+    stage_sum = sum(hist.get("sum", 0) for hist in found.values())
+    if stage_sum != total_sum:
+        errors.append(f"{where}: {prefix}.* sums add up to {stage_sum}, "
+                      f"{total_name} is {total_sum}")
 
 
 def check_wal_family(errors, where, counters, histograms):

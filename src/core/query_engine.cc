@@ -15,12 +15,20 @@ constexpr size_t kNoLimit = std::numeric_limits<size_t>::max();
 /// returns what it found.
 constexpr uint32_t kMaxAreaOverfetch = 32;
 
+/// The best score among `term`'s disk postings on `store`, or -infinity
+/// when it has none there.
+double DiskMax(MicroblogStore* store, TermId term) {
+  double disk_max = 0.0;
+  return store->disk()->MaxTermScore(term, &disk_max)
+             ? disk_max
+             : -std::numeric_limits<double>::infinity();
+}
+
 /// True when no disk posting of `term` can outrank a memory result
 /// scoring `score`: the term has none on `store`'s disk, or its best one
 /// scores strictly lower (an equal score may carry a higher id).
 bool DiskCannotOutrank(MicroblogStore* store, TermId term, double score) {
-  double disk_max = 0.0;
-  return !store->disk()->MaxTermScore(term, &disk_max) || score > disk_max;
+  return score > DiskMax(store, term);
 }
 
 /// Appends up to `limit` of `term`'s disk postings on `store` to `out`,
@@ -40,17 +48,24 @@ struct NoMoreCandidates {
 /// AND, memory side (§IV-D's record-based rule): walks the union of the
 /// query terms' in-memory lists in rank order and yields, once each, the
 /// records that carry every query term. A record present in every term's
-/// list qualifies without a record read; any other is checked against
-/// the record on the owner of the first list holding it (a record flushed
-/// meanwhile fails the check).
+/// list qualifies without a record read. A record missing from term i's
+/// list carries term i only through a disk posting, which scores at most
+/// `disk_max[i]` (read after every list, -infinity when there is none),
+/// so one scoring strictly above it is ruled out without a read. Any
+/// other record is checked against the record on the owner of the first
+/// list holding it (a record flushed meanwhile fails the check), and the
+/// check is counted in `*record_reads`.
 class MemoryUnionWalk {
  public:
   MemoryUnionWalk(const std::vector<std::vector<Posting>>& lists,
                   const std::vector<TermId>& terms,
-                  const std::vector<MicroblogStore*>& term_owner)
+                  const std::vector<MicroblogStore*>& term_owner,
+                  const std::vector<double>& disk_max, uint64_t* record_reads)
       : lists_(lists),
         terms_(terms),
         term_owner_(term_owner),
+        disk_max_(disk_max),
+        record_reads_(record_reads),
         pos_(lists.size(), 0) {}
 
   bool Next(Posting* out) {
@@ -69,16 +84,21 @@ class MemoryUnionWalk {
       // head now; step each of them past it.
       size_t holders = 0;
       size_t first = n;
+      bool ruled_out = false;
       for (size_t i = 0; i < n; ++i) {
         const std::vector<Posting>& list = lists_[i];
-        if (pos_[i] == list.size() || list[pos_[i]].id != head.id) continue;
+        if (pos_[i] == list.size() || list[pos_[i]].id != head.id) {
+          ruled_out = ruled_out || head.score > disk_max_[i];
+          continue;
+        }
         if (first == n) first = i;
         ++holders;
         while (pos_[i] < list.size() && list[pos_[i]].id == head.id) {
           ++pos_[i];
         }
       }
-      if (holders == n || CarriesEveryTerm(term_owner_[first], head.id)) {
+      if (holders == n ||
+          (!ruled_out && CarriesEveryTerm(term_owner_[first], head.id))) {
         *out = head;
         return true;
       }
@@ -87,20 +107,19 @@ class MemoryUnionWalk {
 
  private:
   bool CarriesEveryTerm(MicroblogStore* store, MicroblogId id) {
-    bool has_all = false;
-    store->raw_store()->With(id, [&](const Microblog& blog) {
-      store->extractor()->ExtractTerms(blog, &record_terms_);
-      has_all = std::all_of(terms_.begin(), terms_.end(), [&](TermId t) {
-        return std::find(record_terms_.begin(), record_terms_.end(), t) !=
-               record_terms_.end();
-      });
+    ++*record_reads_;
+    store->raw_store()->TermsOf(id, *store->extractor(), &record_terms_);
+    return std::all_of(terms_.begin(), terms_.end(), [&](TermId t) {
+      return std::find(record_terms_.begin(), record_terms_.end(), t) !=
+             record_terms_.end();
     });
-    return has_all;
   }
 
   const std::vector<std::vector<Posting>>& lists_;
   const std::vector<TermId>& terms_;
   const std::vector<MicroblogStore*>& term_owner_;
+  const std::vector<double>& disk_max_;
+  uint64_t* record_reads_;
   std::vector<size_t> pos_;
   std::vector<TermId> record_terms_;
 };
@@ -292,6 +311,7 @@ QueryEngine::Shard::Shard(MicroblogStore* s) : store(s) {
   misses = registry->counter("query.memory_misses");
   unproven_hits = registry->counter("query.unproven_hits");
   disk_term_reads = registry->counter("query.disk_term_reads");
+  and_record_reads = registry->counter("query.and_record_reads");
 }
 
 QueryEngine::QueryEngine(MicroblogStore* store)
@@ -383,6 +403,15 @@ Result<QueryResult> QueryEngine::EvaluateAnd(
 
   std::vector<Posting> top;
   if (!force_disk) {
+    // Each term's best disk score, read on its owner after every memory
+    // list: a posting leaves a memory list only once it is on disk, so a
+    // record missing from a list read earlier and carrying that term is
+    // covered by the maximum read here.
+    std::vector<double> disk_max(terms.size());
+    for (size_t i = 0; i < terms.size(); ++i) {
+      disk_max[i] = DiskMax(term_owner[i], terms[i]);
+    }
+    cost->Charge(kDisk);
     // Paper §IV-D: "we retrieve in-memory index entries of W1 and W2, scan
     // their microblog ids lists, and any microblog that is associated with
     // both W1 and W2 is added to Lm". "Associated with" is a property of
@@ -391,7 +420,8 @@ Result<QueryResult> QueryEngine::EvaluateAnd(
     // one entry but still memory-resident through another (the Figure 6
     // case) still qualifies. Walked in rank order, the first k of them
     // are their top-k.
-    MemoryUnionWalk walk(memory, terms, term_owner);
+    MemoryUnionWalk walk(memory, terms, term_owner, disk_max,
+                         &cost->and_record_reads);
     TakeTopK(&walk, k, &top);
     cost->Charge(kMerge);
     // AND hit rule: the in-memory candidate list already yields k results.
@@ -401,11 +431,9 @@ Result<QueryResult> QueryEngine::EvaluateAnd(
       // its postings on disk, so it scores at most the smallest per-term
       // disk maximum; a term with no disk posting rules it out altogether.
       const double kth = top.back().score;
-      bool proven = false;
-      for (size_t i = 0; i < terms.size() && !proven; ++i) {
-        proven = DiskCannotOutrank(term_owner[i], terms[i], kth);
-      }
-      cost->Charge(kDisk);
+      const bool proven =
+          std::any_of(disk_max.begin(), disk_max.end(),
+                      [kth](double max) { return kth > max; });
       if (proven) {
         KFLUSH_RETURN_IF_ERROR(Materialize(top, &walk, k, owners, &result));
         cost->Charge(kMaterialize);
@@ -488,6 +516,7 @@ Result<QueryResult> QueryEngine::Execute(const TopKQuery& query) {
   (hit ? recorder.hits : recorder.misses)->Increment();
   if (cost.unproven) recorder.unproven_hits->Increment();
   recorder.disk_term_reads->Add(cost.disk_term_reads);
+  recorder.and_record_reads->Add(cost.and_record_reads);
   span.End({TraceArg::Str("outcome", hit ? "hit" : "miss"),
             TraceArg::Uint("unproven", cost.unproven ? 1 : 0),
             TraceArg::Uint("from_memory", result->from_memory),

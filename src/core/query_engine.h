@@ -31,20 +31,22 @@
 //            disk top-k when memory does not provably hold the term's
 //            top-k, into one pool sorted in rank order (a record pooled
 //            twice is kept once).
-//   AND    : each term's in-memory list is read on its owner and the
-//            lists' union is walked in rank order up to the k-th record
-//            carrying every term (a record in every list qualifies
-//            without a record read). A miss (or an unproven hit) merges
-//            each term's memory and disk lists into one cursor and
+//   AND    : each term's in-memory list is read on its owner, then its
+//            best disk score, and the lists' union is walked in rank
+//            order up to the k-th record carrying every term. A record in
+//            every list qualifies without a record read; one scoring above
+//            the best disk score of a term whose list lacks it is ruled
+//            out without one. A miss (or an unproven hit) merges each
+//            term's memory and disk lists into one cursor and
 //            leapfrog-intersects the cursors up to the k-th common record.
 //
 // Either way the ranked candidates are materialized once, up to k
 // records, at every shard count.
 //
-// Each query is recorded once — type, memory hit, the disk term reads it
-// issued, latency and its split into stages — in the query.* series of
-// the registry of its first term's owner, so the aggregated series count
-// queries, not shard visits.
+// Each query is recorded once — type, memory hit, the disk term reads and
+// AND record reads it issued, latency and its split into stages — in the
+// query.* series of the registry of its first term's owner, so the
+// aggregated series count queries, not shard visits.
 
 #ifndef KFLUSH_CORE_QUERY_ENGINE_H_
 #define KFLUSH_CORE_QUERY_ENGINE_H_
@@ -140,6 +142,8 @@ class QueryEngine {
     uint64_t stage_micros[kNumStages] = {};
     /// Disk QueryTerm calls this query issued.
     uint64_t disk_term_reads = 0;
+    /// Records the AND walk read to test whether they carry every term.
+    uint64_t and_record_reads = 0;
     /// A hit whose memory top-k could not be proven (see Hit rules).
     bool unproven = false;
   };
@@ -163,6 +167,7 @@ class QueryEngine {
     Counter* misses;
     Counter* unproven_hits;
     Counter* disk_term_reads;
+    Counter* and_record_reads;
   };
 
   Shard& OwnerOf(TermId term) { return shards_[router_.ShardForTerm(term)]; }

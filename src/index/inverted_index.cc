@@ -79,7 +79,7 @@ bool InvertedIndex::GetEntryMeta(TermId term, EntryMeta* meta) const {
 size_t InvertedIndex::TrimBeyondK(
     TermId term, size_t k, const std::function<bool(MicroblogId)>& should_trim,
     std::vector<Posting>* out, const TopKChargeFn& on_charge,
-    const TopKChargeFn& on_uncharge) {
+    const TopKChargeFn& on_uncharge, const HandoffFn& handoff) {
   Shard& shard = ShardFor(term);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.entries.find(term);
@@ -102,6 +102,7 @@ size_t InvertedIndex::TrimBeyondK(
       tracker_->Release(MemoryComponent::kIndex, kBytesPerEntry);
     }
   }
+  if (trimmed > 0 && handoff) handoff();
   return trimmed;
 }
 
@@ -109,7 +110,8 @@ size_t InvertedIndex::RemoveMatching(
     TermId term, size_t k,
     const std::function<bool(MicroblogId)>& should_remove,
     const std::function<void(const Posting&, bool)>& on_removed,
-    const TopKChargeFn& on_charge, const TopKChargeFn& on_uncharge) {
+    const TopKChargeFn& on_charge, const TopKChargeFn& on_uncharge,
+    const HandoffFn& handoff) {
   Shard& shard = ShardFor(term);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.entries.find(term);
@@ -132,6 +134,7 @@ size_t InvertedIndex::RemoveMatching(
       tracker_->Release(MemoryComponent::kIndex, kBytesPerEntry);
     }
   }
+  if (removed > 0 && handoff) handoff();
   return removed;
 }
 
@@ -146,7 +149,8 @@ bool InvertedIndex::ContainsId(TermId term, MicroblogId id) const {
 bool InvertedIndex::RemoveId(TermId term, MicroblogId id, size_t k,
                              Posting* removed, bool* was_charged,
                              const TopKChargeFn& on_charge,
-                             const TopKChargeFn& on_uncharge) {
+                             const TopKChargeFn& on_uncharge,
+                             const HandoffFn& handoff) {
   Shard& shard = ShardFor(term);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.entries.find(term);
@@ -168,6 +172,7 @@ bool InvertedIndex::RemoveId(TermId term, MicroblogId id, size_t k,
       tracker_->Release(MemoryComponent::kIndex, kBytesPerEntry);
     }
   }
+  if (handoff) handoff();
   return true;
 }
 

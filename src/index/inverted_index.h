@@ -66,6 +66,12 @@ struct IndexSnapshot {
   }
 };
 
+/// Runs after a removal that took postings out of an entry, before the
+/// entry's shard lock is released, so no reader sees the removed postings
+/// gone until it returns: the flush path hands them to the disk tier
+/// here. Must not reenter the index.
+using HandoffFn = std::function<void()>;
+
 /// Sharded hash inverted index. Thread-safe.
 class InvertedIndex {
  public:
@@ -154,12 +160,13 @@ class InvertedIndex {
   /// returns true (all of them if empty). Trimmed postings are appended to
   /// `out`; charge transitions are reported via the callbacks (see
   /// PostingList::TrimBeyondK). Removes the entry entirely if it becomes
-  /// empty. Returns count trimmed.
+  /// empty. `handoff` runs if anything was trimmed. Returns count trimmed.
   size_t TrimBeyondK(TermId term, size_t k,
                      const std::function<bool(MicroblogId)>& should_trim,
                      std::vector<Posting>* out,
                      const TopKChargeFn& on_charge = {},
-                     const TopKChargeFn& on_uncharge = {});
+                     const TopKChargeFn& on_uncharge = {},
+                     const HandoffFn& handoff = {});
 
   /// Removes from `term`'s entry every posting for which `should_remove`
   /// returns true (all if empty); each removal is reported via `on_removed`
@@ -167,21 +174,23 @@ class InvertedIndex {
   /// transitions via `on_charge` / `on_uncharge` (see
   /// PostingList::RemoveIf). All callbacks run under the shard lock and
   /// must not reenter the index. The entry is deleted when it becomes
-  /// empty. Returns count removed.
+  /// empty. `handoff` runs if anything was removed. Returns count removed.
   size_t RemoveMatching(
       TermId term, size_t k,
       const std::function<bool(MicroblogId)>& should_remove,
       const std::function<void(const Posting&, bool /*was_charged*/)>&
           on_removed,
       const TopKChargeFn& on_charge = {},
-      const TopKChargeFn& on_uncharge = {});
+      const TopKChargeFn& on_uncharge = {}, const HandoffFn& handoff = {});
 
   /// Removes a single id from `term`'s entry (the LRU eviction path).
   /// Returns true if found; sets `*removed` and `*was_charged` when
-  /// non-null (the caller owns the removed posting's uncharge).
+  /// non-null (the caller owns the removed posting's uncharge), then runs
+  /// `handoff`.
   bool RemoveId(TermId term, MicroblogId id, size_t k, Posting* removed,
                 bool* was_charged, const TopKChargeFn& on_charge = {},
-                const TopKChargeFn& on_uncharge = {});
+                const TopKChargeFn& on_uncharge = {},
+                const HandoffFn& handoff = {});
 
   /// Re-aligns every entry's charged prefix to min(k, entry size),
   /// reporting transitions through the callbacks — one shard at a time

@@ -42,8 +42,10 @@ void SegmentedIndex::SealActiveSegment() {
   segments_.push_front(std::make_unique<InvertedIndex>(tracker_));
 }
 
-std::unique_ptr<InvertedIndex> SegmentedIndex::PopOldestSegment() {
+std::unique_ptr<InvertedIndex> SegmentedIndex::PopOldestSegment(
+    const std::function<void(const InvertedIndex&)>& handoff) {
   std::unique_lock<std::shared_mutex> lock(mu_);
+  if (handoff) handoff(*segments_.back());
   std::unique_ptr<InvertedIndex> oldest = std::move(segments_.back());
   segments_.pop_back();
   if (segments_.empty()) {

@@ -47,10 +47,14 @@ class SegmentedIndex {
   void SealActiveSegment();
 
   /// Detaches and returns the oldest segment; queries no longer see it.
-  /// When it is the only segment, a fresh active segment replaces it. The
-  /// caller empties it (its entries still charge the tracker until
-  /// removed or destroyed).
-  std::unique_ptr<InvertedIndex> PopOldestSegment();
+  /// When it is the only segment, a fresh active segment replaces it.
+  /// `handoff`, when set, first runs on the oldest segment under the
+  /// exclusive lock, so no reader sees its postings gone until it returns
+  /// (the FIFO flush registers them on disk there); it must not reenter
+  /// this index. The returned segment's entries still charge the tracker
+  /// until removed or destroyed.
+  std::unique_ptr<InvertedIndex> PopOldestSegment(
+      const std::function<void(const InvertedIndex&)>& handoff = {});
 
   size_t NumSegments() const;
 

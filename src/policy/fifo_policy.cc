@@ -45,7 +45,7 @@ size_t FifoPolicy::FlushImpl(size_t bytes_needed) {
   size_t freed = 0;
   size_t segments_flushed = 0;
   std::vector<TermId> terms;
-  std::vector<Posting> run;
+  std::vector<std::vector<Posting>> runs;  // runs[i]: terms[i]'s postings
   // Drop whole oldest segments until the budget is met. Flushing the only
   // (active) segment empties memory entirely; stop there regardless.
   while (freed < bytes_needed) {
@@ -54,31 +54,35 @@ size_t FifoPolicy::FlushImpl(size_t bytes_needed) {
     // per-entry decision to record; the whole oldest segment goes).
     BeginVictim(/*phase=*/1, kInvalidTermId);
     const size_t freed_before = freed;
-    std::unique_ptr<InvertedIndex> segment = index_.PopOldestSegment();
-    // The segment's MemoryBytes() covers every posting and entry, so only
-    // the record-side bytes of each drop are added below — adding the
-    // run's posting bytes too would overstate `freed` and let the cycle
-    // stop short of the B budget (memory-accounting drift vs. the
-    // tracker's actual delta).
+    // Every run of the segment reaches disk before the pop detaches it.
+    std::unique_ptr<InvertedIndex> segment =
+        index_.PopOldestSegment([&](const InvertedIndex& oldest) {
+          terms.clear();
+          oldest.ForEachEntry(
+              [&](const EntryMeta& meta) { terms.push_back(meta.term); });
+          // Term-id order, not hash-map order, so the records reach the
+          // flush buffer (and the sink) in the same order on every run.
+          std::sort(terms.begin(), terms.end());
+          runs.resize(terms.size());
+          for (size_t i = 0; i < terms.size(); ++i) {
+            runs[i].clear();
+            oldest.Peek(terms[i], ~size_t{0}, &runs[i]);
+            RegisterOnDisk(terms[i], runs[i]);
+          }
+        });
+    ChargeStage(FlushStage::kIndex);
+    // The segment's MemoryBytes() covers every posting and entry (released
+    // when it is destroyed below), so only the record-side bytes of each
+    // drop are added — adding the runs' posting bytes too would overstate
+    // `freed` and let the cycle stop short of the B budget
+    // (memory-accounting drift vs. the tracker's actual delta).
     freed += segment->MemoryBytes();
-    terms.clear();
-    segment->ForEachEntry(
-        [&](const EntryMeta& meta) { terms.push_back(meta.term); });
-    // Victim order must not depend on hash-map iteration: equal-score disk
-    // postings are served in registration order, so replayable runs need
-    // the segment's entries dropped in a stable (term id) order.
-    std::sort(terms.begin(), terms.end());
-    ChargeStage(FlushStage::kSelect);
-    for (TermId term : terms) {
-      run.clear();
-      segment->RemoveMatching(
-          term, /*k=*/0, /*should_remove=*/nullptr,
-          [&](const Posting& p, bool) { run.push_back(p); });
-      ChargeStage(FlushStage::kIndex);
-      freed += DropPostings(term, run) -
-               run.size() * PostingList::kBytesPerPosting;
-      ChargeStage(FlushStage::kDrop);
+    for (size_t i = 0; i < terms.size(); ++i) {
+      freed += DropPostings(runs[i]) -
+               runs[i].size() * PostingList::kBytesPerPosting;
     }
+    segment.reset();
+    ChargeStage(FlushStage::kDrop);
     EndVictim(freed - freed_before);
     ++segments_flushed;
     if (segments_before <= 1) break;  // flushed the last segment

@@ -165,13 +165,17 @@ void FlushPolicy::EndVictim(uint64_t bytes_freed, uint64_t entries_evicted) {
       TraceArg::Uint("bytes_freed", victim_.bytes_freed));
 }
 
-size_t FlushPolicy::DropPostings(TermId term,
+void FlushPolicy::RegisterOnDisk(TermId term,
                                  const std::vector<Posting>& run) {
-  if (run.empty()) return 0;
+  if (run.empty()) return;
   Status s = ctx_.disk_store->AddPostings(term, run);
   if (!s.ok()) {
     KFLUSH_ERROR("disk AddPostings failed: " << s.ToString());
   }
+}
+
+size_t FlushPolicy::DropPostings(const std::vector<Posting>& run) {
+  if (run.empty()) return 0;
   evicted_.clear();
   size_t record_bytes = 0;
   ctx_.flush_buffer->Append([&](RecordBatch* batch) {

@@ -83,12 +83,14 @@ struct PhaseStats {
 /// The stages one flush cycle's wall time is split into
 /// (flush.stage_micros.<name>, docs/INTERNALS.md):
 ///   select — choosing victims: L's swap and sort, index snapshots,
-///            candidate builds, SelectVictims, MK keep-sets, FIFO's segment
-///            pop, LRU's PopColdest, and the policy's own bookkeeping;
+///            candidate builds, SelectVictims, MK keep-sets, LRU's
+///            PopColdest and victim terms, and the policy's own
+///            bookkeeping;
 ///   index  — unlinking victims from the in-memory index (TrimBeyondK,
-///            RemoveMatching, RemoveId);
-///   drop   — DropPostings: disk postings, raw-store releases, buffer
-///            appends;
+///            RemoveMatching, RemoveId, FIFO's segment pop) and
+///            registering their postings on disk, which happens under the
+///            index lock (RegisterOnDisk);
+///   drop   — DropPostings: raw-store releases, buffer appends;
 ///   drain  — the flush buffer's DrainTo.
 enum class FlushStage : int { kSelect = 0, kIndex, kDrop, kDrain };
 constexpr int kNumFlushStages = 4;
@@ -217,15 +219,21 @@ class FlushPolicy {
                    MicroblogId record_id = kInvalidMicroblogId);
   void EndVictim(uint64_t bytes_freed, uint64_t entries_evicted = 0);
 
-  /// Standard handling for a run of postings leaving `term`'s in-memory
-  /// entry; call it after the index operation that removed them, never
-  /// under an index lock. Registers the run on disk in one call, releases
-  /// one raw-store reference per posting, and appends every record whose
-  /// last reference that was to the flush buffer, still encoded — all
-  /// under the buffer lock, so a reader never misses a record between the
-  /// two tiers. Returns the data bytes freed (posting bytes, plus record
-  /// bytes of the records that left memory).
-  size_t DropPostings(TermId term, const std::vector<Posting>& run);
+  /// Registers `run`, postings leaving `term`'s in-memory entry, with the
+  /// disk store in one call. Call it from the index removal's handoff,
+  /// while the index lock is still held, so a reader finds every posting
+  /// in memory or on disk (index shard -> disk store is the lock order).
+  void RegisterOnDisk(TermId term, const std::vector<Posting>& run);
+
+  /// Standard handling for a run of postings that left an in-memory entry
+  /// and is already on disk (RegisterOnDisk); call it after the index
+  /// operation, never under an index lock. Releases one raw-store
+  /// reference per posting and appends every record whose last reference
+  /// that was to the flush buffer, still encoded — all under the buffer
+  /// lock, so a reader never misses a record between the two tiers.
+  /// Returns the data bytes freed (posting bytes, plus record bytes of the
+  /// records that left memory).
+  size_t DropPostings(const std::vector<Posting>& run);
 
   /// Charges the wall time since the previous stage boundary of this
   /// cycle to `stage` (flush thread only). Every interval between two

@@ -188,9 +188,10 @@ size_t KFlushingPolicy::TrimEntry(TermId term, uint32_t k) {
   }
 
   removed_.clear();
-  index_.TrimBeyondK(term, k, should_trim, &removed_, on_charge, on_uncharge);
+  index_.TrimBeyondK(term, k, should_trim, &removed_, on_charge, on_uncharge,
+                     [&] { RegisterOnDisk(term, removed_); });
   ChargeStage(FlushStage::kIndex);
-  const size_t freed = DropPostings(term, removed_);
+  const size_t freed = DropPostings(removed_);
   ChargeStage(FlushStage::kDrop);
   if (options_.mk_extension && index_.EntrySize(term) > k) {
     // Kept postings leave the entry over-k; re-track it so a later Phase 1
@@ -281,14 +282,11 @@ size_t KFlushingPolicy::EvictEntry(TermId term, int phase, int64_t heap_rank,
     for (const Posting& posting : postings) {
       const MicroblogId id = posting.id;
       // Copy the record's terms out under the raw-store shard lock, then
-      // consult the index with no lock held. Probing the index from inside
-      // With() would take index shard locks under a raw-store lock — the
-      // reverse of the index -> raw order TrimEntry's predicate uses, a
-      // lock-order inversion TSan flags and a real deadlock under load.
-      other_terms.clear();
-      ctx_.raw_store->With(id, [&](const Microblog& blog) {
-        ctx_.extractor->ExtractTerms(blog, &other_terms);
-      });
+      // consult the index with no lock held: probing the index under a
+      // raw-store lock would reverse the index -> raw order TrimEntry's
+      // predicate uses, a lock-order inversion TSan flags and a real
+      // deadlock under load.
+      ctx_.raw_store->TermsOf(id, *ctx_.extractor, &other_terms);
       for (TermId t : other_terms) {
         if (t == term) continue;
         if (index_.EntrySize(t) >= k && index_.ContainsId(t, id)) {
@@ -309,8 +307,8 @@ size_t KFlushingPolicy::EvictEntry(TermId term, int phase, int64_t heap_rank,
   // transactional with the structural change: a removed charged posting
   // gives its count back, and kept postings sliding into the vacated top-k
   // region gain one (without that, a later eviction's uncharge would steal
-  // a count belonging to another entry). The removed postings are dropped
-  // as one run after the lock is released.
+  // a count belonging to another entry). The removed postings reach disk
+  // before the lock is released and are dropped as one run after it.
   TopKChargeFn on_charge, on_uncharge;
   if (mk) {
     on_charge = [raw](MicroblogId id) { raw->IncrementTopK(id); };
@@ -323,9 +321,9 @@ size_t KFlushingPolicy::EvictEntry(TermId term, int phase, int64_t heap_rank,
         if (mk && was_charged) raw->DecrementTopK(p.id);
         removed_.push_back(p);
       },
-      on_charge, on_uncharge);
+      on_charge, on_uncharge, [&] { RegisterOnDisk(term, removed_); });
   ChargeStage(FlushStage::kIndex);
-  size_t freed = DropPostings(term, removed_);
+  size_t freed = DropPostings(removed_);
   ChargeStage(FlushStage::kDrop);
   const bool entry_gone = index_.EntrySize(term) == 0;
   if (entry_gone) {

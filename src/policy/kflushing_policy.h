@@ -140,7 +140,8 @@ class KFlushingPolicy : public FlushPolicy {
   /// single flushing thread, like the phase bodies.
   IndexSnapshot scan_snapshot_;
   std::vector<uint32_t> scan_indices_;
-  /// The run a victim's index operation removed, dropped after it returns.
+  /// The run a victim's index operation removed: registered on disk
+  /// under the index lock, dropped after the operation returns.
   std::vector<Posting> removed_;
 
   /// friend for white-box tests of SelectVictims.

@@ -89,11 +89,9 @@ size_t LruPolicy::FlushImpl(size_t bytes_needed) {
     if (victim == kInvalidMicroblogId) break;  // memory is empty
     ++victims_examined;
     // Recover the victim's terms and unlink it from every index entry.
-    const bool resident =
-        ctx_.raw_store->With(victim, [&](const Microblog& blog) {
-          ctx_.extractor->ExtractTerms(blog, &terms);
-        });
-    if (!resident) continue;  // already gone (defensive)
+    if (!ctx_.raw_store->TermsOf(victim, *ctx_.extractor, &terms)) {
+      continue;  // already gone (defensive)
+    }
     // Audit granularity: one victim per evicted record (LRU's decision
     // unit), identified by record id rather than term.
     BeginVictim(/*phase=*/1, kInvalidTermId, /*heap_rank=*/-1,
@@ -103,10 +101,11 @@ size_t LruPolicy::FlushImpl(size_t bytes_needed) {
     ChargeStage(FlushStage::kSelect);
     for (TermId term : terms) {
       const bool unlinked =
-          index_.RemoveId(term, victim, /*k=*/0, &run[0], nullptr);
+          index_.RemoveId(term, victim, /*k=*/0, &run[0], nullptr, {}, {},
+                          [&] { RegisterOnDisk(term, run); });
       ChargeStage(FlushStage::kIndex);
       if (unlinked) {
-        freed += DropPostings(term, run);
+        freed += DropPostings(run);
         ChargeStage(FlushStage::kDrop);
         // Entry erased when it became empty.
         if (index_.EntrySize(term) == 0) {

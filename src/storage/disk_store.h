@@ -1,8 +1,10 @@
 // Disk-side storage. When the flushing policy drops a run of postings from
 // a memory index entry, the associations are registered with the disk
-// store immediately (AddPostings); the record payload itself is written,
-// still encoded, once its last in-memory reference disappears (WriteBatch,
-// fed by the FlushBuffer, which holds it readable until then). Memory ∪
+// store before the index lock that removed them is released (AddPostings,
+// which therefore must do no I/O and take no other lock); the record
+// payload itself is written, still encoded, once its last in-memory
+// reference disappears (WriteBatch, fed by the FlushBuffer, which holds it
+// readable until then). Memory ∪
 // flush buffer ∪ disk therefore always covers the complete answer of any
 // query — the property the paper's hit-ratio metric presumes ("flushed
 // data is moved to disk, and hence the answers are always accurate", §VI).
@@ -102,7 +104,7 @@ class DiskStore {
 
   /// Registers that each posting of `run` (a record id with its ranking
   /// score) now lives under `term` on disk: one call per run. Idempotent
-  /// per (term, id).
+  /// per (term, id). Called under an index lock: no I/O, no other lock.
   virtual Status AddPostings(TermId term, const std::vector<Posting>& run) = 0;
 
   /// Persists encoded record payloads (called by the flush buffer drain,

@@ -13,9 +13,10 @@ inline uint64_t MixHash(uint64_t x) {
   return x;
 }
 
-/// Scratch record for With/ForEach: its string/vector keep their capacity
-/// across calls, so steady-state reads allocate nothing. Valid because the
-/// callbacks must not reenter the store.
+/// Scratch record for TermsOf/ForEach: its string/vector keep their
+/// capacity across calls, so steady-state reads allocate nothing. Valid
+/// because neither the extractor nor ForEach's callback reenters the
+/// store.
 Microblog& ScratchBlog() {
   static thread_local Microblog scratch;
   return scratch;
@@ -90,15 +91,20 @@ std::optional<Microblog> RawDataStore::Get(MicroblogId id) const {
   return blog;
 }
 
-bool RawDataStore::With(
-    MicroblogId id, const std::function<void(const Microblog&)>& fn) const {
-  const Shard& shard = ShardFor(id);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.records.find(id);
-  if (it == shard.records.end()) return false;
+bool RawDataStore::TermsOf(MicroblogId id, const AttributeExtractor& extractor,
+                           std::vector<TermId>* terms) const {
   Microblog& scratch = ScratchBlog();
-  DecodeRecord(it->second.blob, &scratch);
-  fn(scratch);
+  {
+    const Shard& shard = ShardFor(id);
+    std::lock_guard<std::mutex> lock(shard.mu);
+    auto it = shard.records.find(id);
+    if (it == shard.records.end()) {
+      terms->clear();
+      return false;
+    }
+    DecodeRecordWithoutText(it->second.blob, &scratch);
+  }
+  extractor.ExtractTerms(scratch, terms);
   return true;
 }
 

@@ -11,7 +11,7 @@
 // record costs a single pool Alloc + memcpy instead of the std::string/
 // std::vector heap round-trips a Microblog copy pays. Eviction copies the
 // blob, still encoded, into the flush batch and returns it to the pool for
-// the next arrival. Readers materialize a Microblog view on demand (With/
+// the next arrival. Readers materialize a Microblog view on demand (TermsOf/
 // ForEach reuse a scratch record, so steady-state reads allocate nothing).
 //
 // Byte accounting is logical (RecordBytes of the content, as before) and
@@ -29,6 +29,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "model/attribute.h"
 #include "model/microblog.h"
 #include "storage/record_batch.h"
 #include "util/arena.h"
@@ -62,10 +63,14 @@ class RawDataStore {
   /// Copies the record out (safe to use without holding locks).
   std::optional<Microblog> Get(MicroblogId id) const;
 
-  /// Runs `fn` on the record under the shard lock, avoiding heap work. The
-  /// reference is to a thread-local scratch record valid only during the
-  /// call. Returns false if absent. `fn` must not reenter the store.
-  bool With(MicroblogId id, const std::function<void(const Microblog&)>& fn) const;
+  /// Fills `terms` (cleared first) with the terms `extractor` maps record
+  /// `id` to. Decodes the record's fields but not its text (the extractor
+  /// sees an empty text) into a thread-local scratch record under the
+  /// shard lock, so steady-state calls allocate nothing, and runs the
+  /// extractor after releasing it. Returns false, leaving `terms` empty,
+  /// if the record is absent.
+  bool TermsOf(MicroblogId id, const AttributeExtractor& extractor,
+               std::vector<TermId>* terms) const;
 
   /// Drops one reference to `id`. When it was the last one, removes the
   /// record in the same lookup, appends its encoded bytes to `batch`, and

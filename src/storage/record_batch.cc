@@ -25,6 +25,24 @@ BlobHeader ReadHeader(const uint8_t* blob) {
   return h;
 }
 
+/// Decodes every field but the text; returns the blob's header.
+BlobHeader DecodeFields(const uint8_t* blob, Microblog* out) {
+  const BlobHeader h = ReadHeader(blob);
+  out->id = h.id;
+  out->created_at = h.created_at;
+  out->user_id = h.user_id;
+  out->follower_count = h.follower_count;
+  out->has_location = h.has_location != 0;
+  out->location.lat = h.lat;
+  out->location.lon = h.lon;
+  out->keywords.resize(h.kw_count);
+  if (h.kw_count > 0) {
+    std::memcpy(out->keywords.data(), blob + sizeof(h),
+                h.kw_count * sizeof(KeywordId));
+  }
+  return h;
+}
+
 }  // namespace
 
 size_t EncodedRecordBytes(const Microblog& blog) {
@@ -56,21 +74,14 @@ void EncodeRecord(const Microblog& blog, uint8_t* dst) {
 }
 
 void DecodeRecord(const uint8_t* blob, Microblog* out) {
-  const BlobHeader h = ReadHeader(blob);
-  out->id = h.id;
-  out->created_at = h.created_at;
-  out->user_id = h.user_id;
-  out->follower_count = h.follower_count;
-  out->has_location = h.has_location != 0;
-  out->location.lat = h.lat;
-  out->location.lon = h.lon;
-  const uint8_t* p = blob + sizeof(h);
-  out->keywords.resize(h.kw_count);
-  if (h.kw_count > 0) {
-    std::memcpy(out->keywords.data(), p, h.kw_count * sizeof(KeywordId));
-  }
-  p += h.kw_count * sizeof(KeywordId);
-  out->text.assign(reinterpret_cast<const char*>(p), h.text_len);
+  const BlobHeader h = DecodeFields(blob, out);
+  const uint8_t* text = blob + sizeof(h) + h.kw_count * sizeof(KeywordId);
+  out->text.assign(reinterpret_cast<const char*>(text), h.text_len);
+}
+
+void DecodeRecordWithoutText(const uint8_t* blob, Microblog* out) {
+  DecodeFields(blob, out);
+  out->text.clear();
 }
 
 MicroblogId EncodedRecordId(const uint8_t* blob) {

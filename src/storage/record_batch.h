@@ -32,6 +32,9 @@ void EncodeRecord(const Microblog& blog, uint8_t* dst);
 /// capacity.
 void DecodeRecord(const uint8_t* blob, Microblog* out);
 
+/// Like DecodeRecord, but skips the text: `out->text` is left empty.
+void DecodeRecordWithoutText(const uint8_t* blob, Microblog* out);
+
 /// Fields read off an encoded record's header: its id, its length in
 /// bytes, and Microblog::FootprintBytes() of the record it encodes.
 MicroblogId EncodedRecordId(const uint8_t* blob);

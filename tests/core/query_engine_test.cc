@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <functional>
+#include <future>
+#include <thread>
 
 #include "../testing/test_util.h"
 #include "storage/sim_disk_store.h"
@@ -47,6 +50,11 @@ class QueryEngineTest : public ::testing::Test {
   uint64_t UnprovenHits() {
     return store_.metrics_registry()->Snapshot().counter_or(
         "query.unproven_hits");
+  }
+
+  uint64_t AndRecordReads() {
+    return store_.metrics_registry()->Snapshot().counter_or(
+        "query.and_record_reads");
   }
 
   /// Registers a record on the disk tier only, under `kws`, as if it had
@@ -236,6 +244,58 @@ TEST_F(QueryEngineTest, AndHitOutrankedByDiskIsExact) {
   EXPECT_EQ(UnprovenHits(), 1u);
 }
 
+TEST_F(QueryEngineTest, AndWalkReadsNoRecordRuledOutByDiskMaxima) {
+  // Term 1's only disk posting is older than every memory record; term 2
+  // has none. A record missing from term 2's list cannot carry term 2, and
+  // one missing from term 1's list outranks term 1's best disk posting:
+  // the walk settles every candidate without reading a record.
+  IngestOnDisk(100, 1, {1});
+  for (MicroblogId id = 1; id <= 6; ++id) Ingest(id, id * 10, {1});
+  for (MicroblogId id = 11; id <= 16; ++id) Ingest(id, id * 10, {2});
+  Ingest(21, 210, {1, 2});
+  Ingest(22, 220, {1, 2});
+  auto result = engine_.Execute(Multi(QueryType::kAnd, 1, 2));
+  ASSERT_TRUE(result.ok());
+  EXPECT_FALSE(result->memory_hit);
+  EXPECT_EQ(Ids(*result), (std::vector<MicroblogId>{22, 21}));
+  EXPECT_EQ(AndRecordReads(), 0u);
+}
+
+TEST(QueryEngineAndWalkTest, Figure6RecordIsReadOnceAndQualifies) {
+  // Phase 1 alone: record 100 (keywords 1 and 2) is trimmed from keyword
+  // 2's entry to disk and stays resident through keyword 1 (the Figure 6
+  // case). Its score equals keyword 2's best disk score, so the walk must
+  // read it; keyword 2's newer records miss keyword 1, which has nothing
+  // on disk, and are ruled out unread.
+  StoreOptions options = SmallStoreOptions(PolicyKind::kKFlushing, 1 << 20,
+                                           kK);
+  options.enable_phase2 = false;
+  options.enable_phase3 = false;
+  MicroblogStore store(options);
+  QueryEngine engine(&store);
+  ASSERT_TRUE(store.Insert(MakeBlog(100, 5, {1, 2})).ok());
+  for (MicroblogId id = 1; id <= kK; ++id) {
+    ASSERT_TRUE(store.Insert(MakeBlog(id, id * 10, {2})).ok());
+  }
+  store.FlushOnce();
+  ASSERT_EQ(store.policy()->EntrySize(2), kK);
+  ASSERT_TRUE(store.raw_store()->Contains(100));
+
+  TopKQuery query;
+  query.terms = {1, 2};
+  query.type = QueryType::kAnd;
+  query.k = 1;
+  auto result = engine.Execute(query);
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result->memory_hit);
+  ASSERT_EQ(result->results.size(), 1u);
+  EXPECT_EQ(result->results[0].id, 100u);
+  EXPECT_EQ(result->from_memory, 1u);
+  EXPECT_EQ(store.metrics_registry()->Snapshot().counter_or(
+                "query.and_record_reads"),
+            1u);
+}
+
 TEST_F(QueryEngineTest, ValidationErrors) {
   TopKQuery empty;
   EXPECT_FALSE(engine_.Execute(empty).ok());
@@ -357,6 +417,95 @@ TEST(QueryEngineInFlightTest, RecordsBeingFlushedStayVisible) {
   ASSERT_TRUE(after.ok());
   ASSERT_EQ(after->results.size(), 5u);
   EXPECT_EQ(after->from_disk, 5u);
+}
+
+/// A disk whose first AddPostings starts `reader` on its own thread and
+/// waits up to 200 ms for it before registering the run. A reader that
+/// finishes in that window saw the run gone from memory and not yet on
+/// disk; one still blocked on the index lock sees it on disk once the
+/// flush releases the lock.
+class RegistrationWindowDiskStore : public SimDiskStore {
+ public:
+  std::function<void()> reader;
+
+  ~RegistrationWindowDiskStore() override { Join(); }
+
+  Status AddPostings(TermId term, const std::vector<Posting>& run) override {
+    if (reader && !thread_.joinable()) {
+      std::promise<void> done;
+      std::future<void> finished = done.get_future();
+      thread_ = std::thread([this, done = std::move(done)]() mutable {
+        reader();
+        done.set_value();
+      });
+      finished.wait_for(std::chrono::milliseconds(200));
+    }
+    return SimDiskStore::AddPostings(term, run);
+  }
+
+  void Join() {
+    if (thread_.joinable()) thread_.join();
+  }
+
+ private:
+  std::thread thread_;
+};
+
+/// Inserts records 1..5 (newest ranks first) under term 1 into a `policy`
+/// store with `k`, runs one flush, and returns the answer of a k = 5
+/// single-term query on term 1 started from inside the flush's first disk
+/// registration.
+std::vector<MicroblogId> AnswerDuringFirstRegistration(PolicyKind policy,
+                                                       uint32_t k) {
+  RegistrationWindowDiskStore disk;
+  StoreOptions options = SmallStoreOptions(policy, 1 << 20, k);
+  options.disk = &disk;
+  MicroblogStore store(options);
+  QueryEngine engine(&store);
+  for (MicroblogId id = 1; id <= 5; ++id) {
+    EXPECT_TRUE(store.Insert(MakeBlog(id, id * 10, {1})).ok());
+  }
+  TopKQuery query;
+  query.terms = {1};
+  query.k = 5;
+  std::vector<MicroblogId> answer;
+  bool ran = false;
+  disk.reader = [&] {
+    auto result = engine.Execute(query);
+    ASSERT_TRUE(result.ok());
+    for (const Microblog& blog : result->results) answer.push_back(blog.id);
+    EXPECT_EQ(result->from_memory + result->from_disk,
+              result->results.size());
+    ran = true;
+  };
+  store.FlushOnce();
+  disk.Join();
+  EXPECT_TRUE(ran) << "the flush registered no run on disk";
+  return answer;
+}
+
+const std::vector<MicroblogId> kAllFive = {5, 4, 3, 2, 1};
+
+TEST(QueryEngineInFlightTest, TrimmedRunStaysVisibleWhileRegistered) {
+  // k = 2: Phase 1 trims records 3, 2, 1 from the entry.
+  EXPECT_EQ(AnswerDuringFirstRegistration(PolicyKind::kKFlushing, 2),
+            kAllFive);
+}
+
+TEST(QueryEngineInFlightTest, EvictedEntryStaysVisibleWhileRegistered) {
+  // k = 10: the entry is under k, so Phase 2 evicts it whole.
+  EXPECT_EQ(AnswerDuringFirstRegistration(PolicyKind::kKFlushing, 10),
+            kAllFive);
+}
+
+TEST(QueryEngineInFlightTest, LruVictimStaysVisibleWhileRegistered) {
+  // The coldest record, 1, is unlinked first.
+  EXPECT_EQ(AnswerDuringFirstRegistration(PolicyKind::kLru, 2), kAllFive);
+}
+
+TEST(QueryEngineInFlightTest, FifoSegmentStaysVisibleWhileRegistered) {
+  // The only segment is popped with all five postings.
+  EXPECT_EQ(AnswerDuringFirstRegistration(PolicyKind::kFifo, 2), kAllFive);
 }
 
 }  // namespace

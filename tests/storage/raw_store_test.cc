@@ -36,16 +36,26 @@ TEST(RawDataStoreTest, GetMissing) {
   EXPECT_FALSE(store.Contains(42));
 }
 
-TEST(RawDataStoreTest, WithVisitsInPlace) {
+TEST(RawDataStoreTest, TermsOfMatchesEveryAttribute) {
   RawDataStore store;
-  ASSERT_TRUE(store.Put(MakeBlog(1, 100, {}, 7), 1).ok());
-  bool visited = false;
-  EXPECT_TRUE(store.With(1, [&](const Microblog& blog) {
-    visited = true;
-    EXPECT_EQ(blog.user_id, 7u);
-  }));
-  EXPECT_TRUE(visited);
-  EXPECT_FALSE(store.With(2, [](const Microblog&) {}));
+  Microblog blog = MakeBlog(1, 100, {5, 6}, 7, "some text #five #six");
+  blog.has_location = true;
+  blog.location = {40.7, -74.0};
+  ASSERT_TRUE(store.Put(blog, 2).ok());
+  for (AttributeKind kind : {AttributeKind::kKeyword, AttributeKind::kSpatial,
+                             AttributeKind::kUser}) {
+    SCOPED_TRACE(AttributeKindName(kind));
+    const std::unique_ptr<AttributeExtractor> extractor = MakeAttribute(kind);
+    std::vector<TermId> want;
+    extractor->ExtractTerms(blog, &want);
+    std::vector<TermId> got = {99};  // cleared first
+    EXPECT_TRUE(store.TermsOf(1, *extractor, &got));
+    EXPECT_EQ(got, want);
+    EXPECT_FALSE(store.TermsOf(2, *extractor, &got));
+    EXPECT_TRUE(got.empty());
+  }
+  // The read leaves the record whole.
+  EXPECT_EQ(store.Get(1)->text, blog.text);
 }
 
 TEST(RawDataStoreTest, PcountLifecycle) {
